@@ -10,7 +10,11 @@ type config = { capacity : int; quantum : float; shards : int }
 
 let default_config = { capacity = 4096; quantum = 0.005; shards = 8 }
 
-type key = { net_id : int; cmd : int; tag : int; bounds : (float * float) array }
+(* [bounds] interleaves the quantized box: lo of dimension k at 2k, hi
+   at 2k + 1.  A flat float array is one block of unboxed floats; pairs
+   would cost a tuple and two boxed floats per dimension, which at
+   capacity dominates the table's memory. *)
+type key = { net_id : int; cmd : int; tag : int; bounds : float array }
 
 (* Intrusive doubly-linked LRU list threaded through the entries; the
    sentinel's [next] is the most recently used entry, its [prev] the
@@ -124,22 +128,37 @@ let snap_up q hi =
 [@@lint.fp_exact "containment-checked, mirror of snap_down"]
 
 let quantize_bounds quantum box =
-  Array.init (B.dim box) (fun k ->
-      let iv = B.get box k in
-      let lo = I.lo iv and hi = I.hi iv in
+  let n = B.dim box in
+  let bounds = Array.make (2 * n) 0.0 in
+  for k = 0 to n - 1 do
+    let iv = B.get box k in
+    let lo = I.lo iv and hi = I.hi iv in
+    let lo, hi =
       if quantum <= 0.0 then
         (lo +. 0.0, hi +. 0.0)
         [@lint.fp_exact "+. 0.0 only normalises -0.0 for key hashing"]
-      else (snap_down quantum lo, snap_up quantum hi))
+      else (snap_down quantum lo, snap_up quantum hi)
+    in
+    bounds.(2 * k) <- lo;
+    bounds.((2 * k) + 1) <- hi
+  done;
+  bounds
+
+let box_of_bounds bounds =
+  B.of_bounds
+    (Array.init (Array.length bounds / 2) (fun k ->
+         (bounds.(2 * k), bounds.((2 * k) + 1))))
 
 let quantize quantum box =
-  if quantum <= 0.0 then box else B.of_bounds (quantize_bounds quantum box)
+  if quantum <= 0.0 then box else box_of_bounds (quantize_bounds quantum box)
 
 let shard_for t key = t.shards.(Hashtbl.hash key mod Array.length t.shards)
 
-let find_or_compute t ~net_id ~cmd ?(tag = 0) box f =
-  let bounds = quantize_bounds t.config.quantum box in
-  let key = { net_id; cmd; tag; bounds } in
+let key t ~net_id ~cmd ?(tag = 0) box =
+  { net_id; cmd; tag; bounds = quantize_bounds t.config.quantum box }
+
+let find_or_compute t ~net_id ~cmd ?tag box f =
+  let key = key t ~net_id ~cmd ?tag box in
   let sh = shard_for t key in
   let cached =
     with_lock sh (fun () ->
@@ -166,7 +185,7 @@ let find_or_compute t ~net_id ~cmd ?(tag = 0) box f =
          both results enclose F# of the same quantized box, so either is
          sound; the insert below keeps the incumbent to maximise
          sharing. *)
-      let qbox = if t.config.quantum <= 0.0 then box else B.of_bounds bounds in
+      let qbox = if t.config.quantum <= 0.0 then box else box_of_bounds key.bounds in
       let value = f qbox in
       with_lock sh (fun () ->
           match Hashtbl.find_opt sh.table key with
@@ -194,15 +213,11 @@ let find_or_compute t ~net_id ~cmd ?(tag = 0) box f =
    would either hit the freshly inserted entry or recompute the same
    bitwise value.  Inserts keep the incumbent like [find_or_compute],
    and the answer for every query is the value actually stored. *)
-let find_or_compute_batch t ~net_id ~cmd ?(tag = 0) boxes f =
+let find_or_compute_batch t ~net_id ~cmd ?tag boxes f =
   let n = Array.length boxes in
   if n = 0 then [||]
   else begin
-    let keys =
-      Array.map
-        (fun box -> { net_id; cmd; tag; bounds = quantize_bounds t.config.quantum box })
-        boxes
-    in
+    let keys = Array.map (key t ~net_id ~cmd ?tag) boxes in
     let out : B.t option array = Array.make n None in
     Array.iteri
       (fun i key ->
@@ -241,7 +256,7 @@ let find_or_compute_batch t ~net_id ~cmd ?(tag = 0) boxes f =
         Array.map
           (fun i ->
             if t.config.quantum <= 0.0 then boxes.(i)
-            else B.of_bounds keys.(i).bounds)
+            else box_of_bounds keys.(i).bounds)
           miss_idx
       in
       let values = f qboxes in

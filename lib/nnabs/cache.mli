@@ -69,6 +69,14 @@ val shared : config -> t
     replaces the shared cache with a fresh one; callers running
     concurrent analyses should agree on one config. *)
 
+type key
+(** A table key: network id, command, tag and the outward-quantized box
+    bounds, stored flat. *)
+
+val key : t -> net_id:int -> cmd:int -> ?tag:int -> Nncs_interval.Box.t -> key
+(** The key {!find_or_compute} files a query under (exposed so tests
+    can bound an entry's memory). *)
+
 val find_or_compute :
   t ->
   net_id:int ->

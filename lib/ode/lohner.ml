@@ -27,14 +27,6 @@ let hull st =
 
 (* ----- variational series: Taylor coefficients of J(t), J' = A(t) J ----- *)
 
-(* series of the Jacobian entries A_ij(t) = (df_i/dz_j)(t, z(t), u) given
-   the solution series [zser] *)
-let jacobian_entry_series sys ~time ~zser ~inputs =
-  let n = sys.Ode.dim in
-  Array.init n (fun i ->
-      Array.init n (fun j ->
-          Series.eval_expr (Expr.diff sys.Ode.rhs.(i) j) ~time ~state:zser ~inputs))
-
 (* coefficients J[0..k] of the matrix series from J[0] = j0 via
    J[k+1] = 1/(k+1) * sum_{m<=k} A[m] J[k-m] *)
 let variational_coeffs ~order ~aser ~j0 =
@@ -60,7 +52,7 @@ let jacobian_prior sys ~t1 ~h ~prior ~inputs =
   let hiv = I.make 0.0 h in
   let abox =
     IM.init n n (fun i j ->
-        Expr.eval_interval (Expr.diff sys.Ode.rhs.(i) j) ~time:tiv ~state:prior
+        Expr.eval_interval sys.Ode.jacobian.(i).(j) ~time:tiv ~state:prior
           ~inputs)
   in
   let picard jb = IM.add (IM.identity n) (IM.scale hiv (IM.mul abox jb)) in
@@ -120,28 +112,28 @@ let matrix_horner coeffs d =
   done;
   !acc
 
-let jacobian_enclosure sys ~order ~t1 ~h ~inputs box =
-  let n = sys.Ode.dim in
-  let prior = Apriori.enclosure sys ~t1 ~h ~state:box ~inputs in
-  let tser = I.of_float t1 in
-  (* orders < K over the initial box, order K over the prior *)
-  let zser = Series.solution_coeffs ~rhs:sys.Ode.rhs ~order ~time:tser ~state:box ~inputs in
-  let aser = jacobian_entry_series sys ~time:(Series.time_var order tser) ~zser ~inputs in
-  let js = variational_coeffs ~order ~aser ~j0:(IM.identity n) in
+(* The time-h flow Jacobian from the Jacobian-entry series [box_jac]
+   over the initial box (orders < K) and [prior_jac] over the a-priori
+   box (order K, started from the a-priori Jacobian enclosure). *)
+let flow_jacobian sys ~order ~t1 ~h ~prior ~inputs ~box_jac ~prior_jac =
+  let js = variational_coeffs ~order ~aser:box_jac ~j0:(IM.identity sys.Ode.dim) in
   let jb = jacobian_prior sys ~t1 ~h ~prior ~inputs in
-  let zpr =
-    Series.solution_coeffs ~rhs:sys.Ode.rhs ~order
-      ~time:(I.make t1 (R.add_up t1 h))
-      ~state:prior ~inputs
-  in
-  let apr =
-    jacobian_entry_series sys
-      ~time:(Series.time_var order (I.make t1 (R.add_up t1 h)))
-      ~zser:zpr ~inputs
-  in
-  let jpr = variational_coeffs ~order ~aser:apr ~j0:jb in
+  let jpr = variational_coeffs ~order ~aser:prior_jac ~j0:jb in
   let coeffs = Array.init (order + 1) (fun k -> if k < order then js.(k) else jpr.(k)) in
   matrix_horner coeffs (I.of_float h)
+
+let step_time t1 h = I.make t1 (R.add_up t1 h)
+
+let jacobian_enclosure sys ~order ~t1 ~h ~inputs box =
+  let prior = Apriori.enclosure sys ~t1 ~h ~state:box ~inputs in
+  let tape = sys.Ode.tape in
+  let _, box_jac =
+    Tape.solution_jacobian tape ~order ~time:(I.of_float t1) ~state:box ~inputs
+  in
+  let _, prior_jac =
+    Tape.solution_jacobian tape ~order ~time:(step_time t1 h) ~state:prior ~inputs
+  in
+  flow_jacobian sys ~order ~t1 ~h ~prior ~inputs ~box_jac ~prior_jac
 
 type step_result = { next : state; range : B.t }
 
@@ -179,15 +171,15 @@ let step sys ~order ~t1 ~h ~inputs st =
   let n = sys.Ode.dim in
   let zbox = hull st in
   let prior = Apriori.enclosure sys ~t1 ~h ~state:zbox ~inputs in
+  let tape = sys.Ode.tape in
   (* 1. point Taylor step of the center, remainder over the prior *)
   let zc =
-    Series.solution_coeffs ~rhs:sys.Ode.rhs ~order ~time:(I.of_float t1)
+    Tape.solution tape ~order:(order - 1) ~time:(I.of_float t1)
       ~state:(B.of_point st.center) ~inputs
   in
-  let zpr =
-    Series.solution_coeffs ~rhs:sys.Ode.rhs ~order
-      ~time:(I.make t1 (R.add_up t1 h))
-      ~state:prior ~inputs
+  let zpr, prior_jac =
+    Tape.solution_jacobian tape ~order ~time:(step_time t1 h) ~state:prior
+      ~inputs
   in
   let hd = I.of_float h in
   let point_flow =
@@ -195,10 +187,13 @@ let step sys ~order ~t1 ~h ~inputs st =
         let coeffs =
           Array.init (order + 1) (fun k -> if k < order then zc.(i).(k) else zpr.(i).(k))
         in
-        Series.horner coeffs hd)
+        Tape.horner coeffs hd)
   in
   (* 2. Jacobian of the flow over the current hull *)
-  let jfull = jacobian_enclosure sys ~order ~t1 ~h ~inputs zbox in
+  let zbser, box_jac =
+    Tape.solution_jacobian tape ~order ~time:(I.of_float t1) ~state:zbox ~inputs
+  in
+  let jfull = flow_jacobian sys ~order ~t1 ~h ~prior ~inputs ~box_jac ~prior_jac in
   (* 3. propagate the error set: M = J * frame, d = point defect *)
   let m = IM.mul jfull (interval_frame st) in
   let new_center = Array.map I.mid point_flow in
@@ -223,17 +218,13 @@ let step sys ~order ~t1 ~h ~inputs st =
   (* 5. range over the step: the prior meets the direct Taylor range *)
   let direct_range =
     let d01 = I.make 0.0 h in
-    let zbser =
-      Series.solution_coeffs ~rhs:sys.Ode.rhs ~order ~time:(I.of_float t1)
-        ~state:zbox ~inputs
-    in
     B.of_intervals
       (Array.init n (fun i ->
            let coeffs =
              Array.init (order + 1) (fun k ->
                  if k < order then zbser.(i).(k) else zpr.(i).(k))
            in
-           Series.horner coeffs d01))
+           Tape.horner coeffs d01))
   in
   let range =
     match B.meet direct_range prior with Some r -> r | None -> prior

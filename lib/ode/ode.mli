@@ -6,12 +6,16 @@ type system = private {
   dim : int;  (** state dimension l *)
   input_dim : int;  (** command dimension d *)
   rhs : Expr.t array;  (** one expression per state dimension *)
+  jacobian : Expr.t array array;
+      (** [jacobian.(i).(j)] is [d rhs_i / d s_j] ({!Expr.diff}) *)
+  tape : Tape.t;  (** [rhs] and [jacobian] compiled for Taylor coefficients *)
 }
 
 val make : dim:int -> input_dim:int -> Expr.t array -> system
 (** Validates that the expressions only mention state indices < [dim] and
-    input indices < [input_dim], and that there are exactly [dim] of
-    them. *)
+    input indices < [input_dim], that there are exactly [dim] of them,
+    and that no [Pow] exponent is negative.  Differentiates and compiles
+    them once, here. *)
 
 val eval_rhs : system -> time:float -> state:float array -> inputs:float array -> float array
 

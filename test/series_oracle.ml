@@ -1,5 +1,12 @@
+(* The whole-series Taylor evaluator the plant's integrators ran on
+   before the compiled tape (Nncs_ode.Tape), kept verbatim as the oracle
+   of the tape's bitwise differential test.  For each j = 0..K-1,
+   [solution_coeffs] re-evaluates the whole right-hand side at full
+   order K; the tape promises the same coefficients, bit for bit. *)
+
 module I = Nncs_interval.Interval
 module B = Nncs_interval.Box
+module Expr = Nncs_ode.Expr
 
 type t = I.t array
 
@@ -162,11 +169,3 @@ let solution_coeffs ~rhs ~order:k ~time ~state ~inputs =
     done
   done;
   z
-
-let horner coeffs d =
-  let n = Array.length coeffs in
-  let acc = ref coeffs.(n - 1) in
-  for i = n - 2 downto 0 do
-    acc := I.add coeffs.(i) (I.mul d !acc)
-  done;
-  !acc

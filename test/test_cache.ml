@@ -171,6 +171,30 @@ let test_tag_separates_entries () =
   check "tags do not share entries" true (not (B.subset wide r0));
   check "tag 1 computed its own value" true (B.subset wide r1)
 
+(* An entry's key is a flat record: 4 fields plus one unboxed float
+   array of the 2 * dim quantized bounds.  Keys of pairs cost a tuple
+   and two boxed floats per dimension, 46 words at dim 5 against 16. *)
+let test_flat_key_footprint () =
+  let box = B.of_bounds (Array.init 5 (fun k -> (float_of_int k -. 0.3, float_of_int k +. 0.4))) in
+  let float_words = 64 / Sys.word_size in
+  let bound = 5 + 1 + (2 * 5 * float_words) in
+  List.iter
+    (fun quantum ->
+      let cache = Cache.create { Cache.capacity = 8; quantum; shards = 2 } in
+      let key = Cache.key cache ~net_id:3 ~cmd:1 box in
+      check
+        (Printf.sprintf "quantum %g: %d words <= %d" quantum
+           (Obj.reachable_words (Obj.repr key)) bound)
+        true
+        (Obj.reachable_words (Obj.repr key) <= bound))
+    [ 0.0; 0.005 ];
+  (* -0.0 and 0.0 bounds file under one key, hash included *)
+  let cache = Cache.create { Cache.capacity = 8; quantum = 0.0; shards = 2 } in
+  let k1 = Cache.key cache ~net_id:0 ~cmd:0 (B.of_bounds [| (-0.0, 1.0) |]) in
+  let k2 = Cache.key cache ~net_id:0 ~cmd:0 (B.of_bounds [| (0.0, 1.0) |]) in
+  check "signed zero keys equal" true (compare k1 k2 = 0);
+  check "signed zero hashes equal" true (Hashtbl.hash k1 = Hashtbl.hash k2)
+
 (* Regression: the key must identify the *network*, not its index
    inside one controller.  Two systems verified back-to-back in the same
    process share the domain cache; with index-based keys the second
@@ -382,6 +406,7 @@ let () =
           Alcotest.test_case "lru eviction" `Quick test_lru_eviction;
           Alcotest.test_case "tags separate entries" `Quick
             test_tag_separates_entries;
+          Alcotest.test_case "flat key footprint" `Quick test_flat_key_footprint;
           Alcotest.test_case "process-wide sharing" `Quick
             test_shared_process_wide;
           Alcotest.test_case "concurrent hits sound" `Quick

@@ -368,4 +368,216 @@ let additional_tests =
       ] );
   ]
 
-let () = Alcotest.run "ode" (main_tests @ additional_tests)
+(* ----- the compiled Taylor tape against the whole-series oracle ----- *)
+
+module Tape = Nncs_ode.Tape
+
+(* Random right-hand sides over every Expr constructor, built with the
+   raw constructors so that Pow 0 / Pow 1, Sqr of constants and -0.0
+   reach the tape unfolded.  [Sin a] and [Cos a] of one argument occur
+   together so the shared sin/cos node is exercised. *)
+let rec gen_expr dim depth =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [
+        (2, map (fun c -> E.Const c) (float_range (-2.0) 2.0));
+        (1, oneofl [ E.Const 0.0; E.Const (-0.0); E.Const 1.0 ]);
+        (1, return E.Time);
+        (4, map (fun i -> E.State i) (int_bound (dim - 1)));
+        (1, return (E.Input 0));
+      ]
+  in
+  if depth = 0 then leaf
+  else
+    let sub = gen_expr dim (depth - 1) in
+    frequency
+      [
+        (3, leaf);
+        (1, map (fun a -> E.Neg a) sub);
+        (2, map2 (fun a b -> E.Add (a, b)) sub sub);
+        (1, map2 (fun a b -> E.Sub (a, b)) sub sub);
+        (2, map2 (fun a b -> E.Mul (a, b)) sub sub);
+        (1, map2 (fun a b -> E.Div (a, b)) sub sub);
+        (1, map (fun a -> E.Sin a) sub);
+        (1, map (fun a -> E.Cos a) sub);
+        (1, map (fun a -> E.Exp a) sub);
+        (1, map (fun a -> E.Sqrt a) sub);
+        (1, map (fun a -> E.Sqr a) sub);
+        (1, map (fun a -> E.Atan a) sub);
+        (1, map2 (fun a n -> E.Pow (a, n)) sub (int_bound 5));
+        (1, map2 (fun a b -> E.Add (E.Mul (E.Sin a, b), E.Cos a)) sub sub);
+      ]
+
+type tape_case = {
+  rhs : E.t array;
+  order : int;
+  time : I.t;
+  state : B.t;
+  inputs : B.t;
+}
+
+let gen_interval =
+  QCheck.Gen.(
+    map2
+      (fun c r -> I.make (c -. r) (c +. r))
+      (float_range (-3.0) 3.0)
+      (oneofl [ 0.0; 1e-3; 0.1; 1.0; 3.0 ]))
+
+let gen_tape_case =
+  QCheck.Gen.(
+    let* dim = int_range 1 3 in
+    let* rhs = array_repeat dim (gen_expr dim 3) in
+    let* order = int_range 1 8 in
+    let* t0 = float_range 0.0 5.0 in
+    let* time = oneofl [ I.of_float t0; I.make t0 (t0 +. 0.1) ] in
+    let* state = array_repeat dim gen_interval in
+    let* u = gen_interval in
+    return
+      { rhs; order; time; state = B.of_intervals state; inputs = B.of_intervals [| u |] })
+
+let print_tape_case c =
+  Format.asprintf "order %d time %a@.%a@.state %s" c.order I.pp c.time
+    (Format.pp_print_list ~pp_sep:Format.pp_print_newline E.pp)
+    (Array.to_list c.rhs)
+    (String.concat " " (List.map I.to_string (Array.to_list (B.to_array c.state))))
+
+let arb_tape_case = QCheck.make ~print:print_tape_case gen_tape_case
+
+type 'a outcome = Value of 'a | Raised of string
+
+let outcome f =
+  match f () with v -> Value v | exception e -> Raised (Printexc.exn_slot_name e)
+
+(* bitwise interval equality *)
+let same_iv a b =
+  Int64.equal (Int64.bits_of_float (I.lo a)) (Int64.bits_of_float (I.lo b))
+  && Int64.equal (Int64.bits_of_float (I.hi a)) (Int64.bits_of_float (I.hi b))
+
+let same_prefix n a b =
+  let ok = ref true in
+  for k = 0 to n - 1 do
+    ok := !ok && same_iv a.(k) b.(k)
+  done;
+  !ok
+
+let system_of c = Ode.make ~dim:(Array.length c.rhs) ~input_dim:1 c.rhs
+
+(* the oracle's Jacobian-entry series, as the Loehner integrator built
+   them: each Expr.diff entry evaluated over the full solution series *)
+let oracle_jacobian c =
+  let z =
+    Series_oracle.solution_coeffs ~rhs:c.rhs ~order:c.order ~time:c.time
+      ~state:c.state ~inputs:c.inputs
+  in
+  let tser = Series_oracle.time_var c.order c.time in
+  let dim = Array.length c.rhs in
+  ( z,
+    Array.init dim (fun i ->
+        Array.init dim (fun j ->
+            Series_oracle.eval_expr (E.diff c.rhs.(i) j) ~time:tser ~state:z
+              ~inputs:c.inputs)) )
+
+let tape_jacobian c =
+  Tape.solution_jacobian (system_of c).Ode.tape ~order:c.order ~time:c.time
+    ~state:c.state ~inputs:c.inputs
+
+(* solution coefficients 0..K and Jacobian coefficients 0..K-1 agree
+   bit for bit, or both sides raise the same exception *)
+let same_outcome c =
+  let sol_ok =
+    match
+      ( outcome (fun () ->
+            Series_oracle.solution_coeffs ~rhs:c.rhs ~order:c.order ~time:c.time
+              ~state:c.state ~inputs:c.inputs),
+        outcome (fun () ->
+            Tape.solution (system_of c).Ode.tape ~order:c.order ~time:c.time
+              ~state:c.state ~inputs:c.inputs) )
+    with
+    | Value a, Value b -> Array.for_all2 (same_prefix (c.order + 1)) a b
+    | Raised a, Raised b -> String.equal a b
+    | _ -> false
+  in
+  let jac_ok =
+    match (outcome (fun () -> oracle_jacobian c), outcome (fun () -> tape_jacobian c)) with
+    | Value (za, ja), Value (zb, jb) ->
+        Array.for_all2 (same_prefix (c.order + 1)) za zb
+        && Array.for_all2 (Array.for_all2 (same_prefix c.order)) ja jb
+    | Raised a, Raised b -> String.equal a b
+    | _ -> false
+  in
+  sol_ok && jac_ok
+
+let prop_tape_bitwise =
+  QCheck.Test.make ~count:400 ~name:"tape bit-identical to the whole-series oracle"
+    arb_tape_case same_outcome
+
+(* The property above only means something if the sample reaches both
+   outcomes: the generator must produce raising cases (a divisor or a
+   sqrt argument containing 0, a negative sqrt argument) as well as
+   ordinary ones. *)
+let test_tape_exceptions_covered () =
+  let rand = Random.State.make [| 7 |] in
+  let seen = Hashtbl.create 4 in
+  for _ = 1 to 400 do
+    let c = gen_tape_case rand in
+    let key =
+      match outcome (fun () -> tape_jacobian c) with
+      | Value _ -> "value"
+      | Raised name -> name
+    in
+    Hashtbl.replace seen key ();
+    check ("agrees: " ^ print_tape_case c) true (same_outcome c)
+  done;
+  List.iter
+    (fun k -> check ("sample reaches " ^ k) true (Hashtbl.mem seen k))
+    [ "value"; "Nncs_interval.Interval.Division_by_zero_interval"; "Invalid_argument" ]
+
+(* one tape run from two domains at once gives the sequential bits *)
+let test_tape_two_domains () =
+  let rand = Random.State.make [| 11 |] in
+  let cases = List.init 60 (fun _ -> gen_tape_case rand) in
+  let run () = List.map (fun c -> outcome (fun () -> tape_jacobian c)) cases in
+  let same a b =
+    match (a, b) with
+    | Value (za, ja), Value (zb, jb) ->
+        Array.for_all2 (Array.for_all2 same_iv) za zb
+        && Array.for_all2 (Array.for_all2 (Array.for_all2 same_iv)) ja jb
+    | Raised a, Raised b -> String.equal a b
+    | _ -> false
+  in
+  let sequential = run () in
+  let d1 = Domain.spawn run and d2 = Domain.spawn run in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  check "domain 1" true (List.for_all2 same sequential r1);
+  check "domain 2" true (List.for_all2 same sequential r2)
+
+(* hash-consing: sin/cos of one argument share one node, equal subterms
+   and constants with equal bits are one node, 0.0 and -0.0 are two *)
+let test_tape_sharing () =
+  let x = E.State 0 in
+  let sys =
+    Ode.make ~dim:1 ~input_dim:1
+      [| E.Add (E.Mul (E.Sin x, E.Const 0.0), E.Mul (E.Cos x, E.Const (-0.0))) |]
+  in
+  (* State 0, sin/cos pair (2), 0.0, -0.0, two Mul, one Add *)
+  Alcotest.(check int) "rhs nodes" 8 (Tape.rhs_nodes sys.Ode.tape);
+  let sys =
+    Ode.make ~dim:2 ~input_dim:1
+      [| E.Mul (E.Sin x, E.Const 2.0); E.Mul (E.Sin x, E.Const 2.0) |]
+  in
+  (* State 0, State 1, sin/cos pair, 2.0, one Mul *)
+  Alcotest.(check int) "shared rhs" 6 (Tape.rhs_nodes sys.Ode.tape)
+
+let tape_tests =
+  [
+    ( "tape",
+      [
+        QCheck_alcotest.to_alcotest prop_tape_bitwise;
+        Alcotest.test_case "exceptions covered" `Quick test_tape_exceptions_covered;
+        Alcotest.test_case "two domains" `Quick test_tape_two_domains;
+        Alcotest.test_case "hash-consing" `Quick test_tape_sharing;
+      ] );
+  ]
+
+let () = Alcotest.run "ode" (main_tests @ additional_tests @ tape_tests)

@@ -175,6 +175,41 @@ let test_span_exception_safe () =
     (List.exists (fun e -> e.Trace.name = "raising") (Trace.events ()));
   Trace.clear ()
 
+(* Tightly nested spans, as ode.simulate > ode.taylor: with a
+   microsecond clock a parent and child opened within one tick got the
+   same [ts] (and closed within one tick, the same [dur]), so nesting
+   could not be recovered from the intervals.  On the monotonic clock
+   every child starts strictly after and ends strictly before its
+   parent, and the self times the benchmark derives from the intervals
+   (Perfbench.Selftime) equal the program's own [self] fields. *)
+let test_span_tight_nesting () =
+  Trace.enable ();
+  for _ = 1 to 300 do
+    Span.with_ "tight.outer" (fun () ->
+        Span.with_ "tight.mid" (fun () -> Span.with_ "tight.leaf" (fun () -> ())))
+  done;
+  Trace.disable ();
+  let events = Trace.events () in
+  let named n = List.filter (fun e -> e.Trace.name = n) events in
+  let outer = named "tight.outer" and mid = named "tight.mid" and leaf = named "tight.leaf" in
+  Alcotest.(check int) "all spans recorded" 900 (List.length events);
+  let stop e = e.Trace.ts +. e.Trace.dur in
+  let strictly_inside child parent =
+    child.Trace.ts > parent.Trace.ts && stop child < stop parent
+  in
+  check "mid strictly inside outer" true (List.for_all2 strictly_inside mid outer);
+  check "leaf strictly inside mid" true (List.for_all2 strictly_inside leaf mid);
+  let derived = Perfbench.Selftime.self_times (List.map Perfbench.Selftime.of_event events) in
+  Alcotest.(check int) "derived for every span" 900 (List.length derived);
+  List.iter
+    (fun ((s : Perfbench.Selftime.span), self) ->
+      let e = List.find (fun e -> e.Trace.name = s.name && e.Trace.ts = s.ts) events in
+      if Float.abs (self -. e.Trace.self) > 1e-9 then
+        Alcotest.failf "%s at %.9f: derived self %.3e, self field %.3e" s.name s.ts self
+          e.Trace.self)
+    derived;
+  Trace.clear ()
+
 (* ----- obs: counters and spans merge across domains ----- *)
 
 let test_domain_merge () =
@@ -292,6 +327,8 @@ let () =
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
           Alcotest.test_case "span closed on raise" `Quick
             test_span_exception_safe;
+          Alcotest.test_case "tight nesting on the monotonic clock" `Quick
+            test_span_tight_nesting;
           Alcotest.test_case "cross-domain merge" `Quick test_domain_merge;
           Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
           Alcotest.test_case "json printer/parser" `Quick test_json_values;
