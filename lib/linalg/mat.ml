@@ -19,6 +19,7 @@ let cols m = m.cols
 let get m i j = m.data.((i * m.cols) + j)
 let set m i j v = m.data.((i * m.cols) + j) <- v
 let row m i = Array.sub m.data (i * m.cols) m.cols
+let data m = m.data
 let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
 let transpose m = init m.cols m.rows (fun i j -> get m j i)
 

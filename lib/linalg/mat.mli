@@ -12,6 +12,10 @@ val set : t -> int -> int -> float -> unit
 val row : t -> int -> Vec.t
 (** Fresh copy of the row. *)
 
+val data : t -> float array
+(** The backing row-major array, entry [(i, j)] at [i * cols + j]:
+    shared, not copied, so callers must only read it. *)
+
 val identity : int -> t
 val transpose : t -> t
 val add : t -> t -> t

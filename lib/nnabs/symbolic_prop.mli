@@ -57,4 +57,11 @@ module Internal : sig
       the box with the kernel's own row evaluators — the only way to
       exercise a poisoned {e coefficient} plane whose constant/error
       lanes stay finite. *)
+
+  val next_up : float -> float
+  (** The kernel's inlined successor: bitwise {!Nncs_interval.Rounding.next_up}. *)
+
+  val next_down : float -> float
+  (** The kernel's inlined predecessor: bitwise
+      {!Nncs_interval.Rounding.next_down}. *)
 end

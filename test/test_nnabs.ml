@@ -281,6 +281,192 @@ let prop_domain_sound domain =
       in
       soundness_case domain net box rng 100)
 
+(* ----- kernel oracle: bitwise differential test -----
+
+   [Fsharp_oracle] is the scalar kernel as it was before its loops were
+   unboxed (directed rounding through [Rounding], weights through
+   [Mat.get], box bounds through [Interval]).  The rewrite promises the
+   same float operations in the same order, so [propagate] and
+   [output_bounds] must match it bit for bit, exceptions included, on
+   the committed networks and on random ones built to hit the kernel's
+   corners: structurally-zero weights, all-zero rows (no error term),
+   [Linear] hidden layers, box widths from 1e-12 to 1e3, signed-zero,
+   zero-straddling and half-infinite bounds, and magnitudes up to
+   overflow. *)
+
+module O = Fsharp_oracle
+
+let committed_nets =
+  lazy
+    (List.map
+       (fun n -> Nncs_nn.Nnet_io.load (Printf.sprintf "../data/acasxu_%s.nnet" n))
+       [ "COC"; "WL"; "WR"; "SL"; "SR" ])
+
+let bits = Int64.bits_of_float
+let same_float a b = Int64.equal (bits a) (bits b)
+
+let same_array a b =
+  Array.length a = Array.length b && Array.for_all2 same_float a b
+
+(* every weight and bias of a layer drawn from [draw]; each row is
+   all-zero with probability 1/6 *)
+let random_layer st ~draw ~rows ~cols activation =
+  let zero_row = Array.init rows (fun _ -> Random.State.int st 6 = 0) in
+  {
+    Net.weights =
+      Mat.init rows cols (fun i _ -> if zero_row.(i) then 0.0 else draw ());
+    biases = Array.init rows (fun _ -> draw ());
+    activation;
+  }
+
+(* A random network: 1-6 inputs, 0-3 hidden layers (a quarter of them
+   Linear), weights and biases at one of four magnitude scales (the
+   largest overflows), 30% of them zero of either sign. *)
+let oracle_random_net st =
+  let scale = [| 1.0; 1e3; 1e12; 1e100 |].(Random.State.int st 4) in
+  let draw () =
+    if Random.State.int st 10 < 3 then (if Random.State.bool st then 0.0 else -0.0)
+    else scale *. (Random.State.float st 2.0 -. 1.0)
+  in
+  let m = 1 + Random.State.int st 6 in
+  let hidden = List.init (Random.State.int st 4) (fun _ -> 1 + Random.State.int st 12) in
+  let outs = 1 + Random.State.int st 4 in
+  let sizes = (m :: hidden) @ [ outs ] in
+  let rec layers = function
+    | [ a; b ] -> [ random_layer st ~draw ~rows:b ~cols:a Act.Linear ]
+    | a :: (b :: _ as rest) ->
+        let act = if Random.State.int st 4 = 0 then Act.Linear else Act.Relu in
+        random_layer st ~draw ~rows:b ~cols:a act :: layers rest
+    | _ -> []
+  in
+  Net.make ~input_dim:m (Array.of_list (layers sizes))
+
+(* one coordinate: width 10^[-12, 3] or 0, centre at one of three
+   scales, or one of the signed-zero, zero-straddling and half-infinite
+   shapes *)
+let oracle_bounds st ~scale =
+  let w () =
+    if Random.State.int st 8 = 0 then 0.0
+    else Float.pow 10.0 (Random.State.float st 15.0 -. 12.0)
+  in
+  match Random.State.int st 10 with
+  | 0 -> (-0.0, 0.0)
+  | 1 -> (-0.0, w ())
+  | 2 -> (-.w (), -0.0)
+  | 3 -> (0.0, 0.0)
+  | 4 ->
+      let w = w () in
+      (-.w, w)
+  | 5 -> if Random.State.bool st then (scale, Float.infinity) else (Float.neg_infinity, -.scale)
+  | _ ->
+      let c = scale *. (Random.State.float st 2.0 -. 1.0) and w = w () in
+      (c -. w, c +. w)
+
+let oracle_case seed =
+  let st = Random.State.make [| seed |] in
+  let net =
+    if Random.State.int st 4 = 0 then
+      List.nth (Lazy.force committed_nets) (Random.State.int st 5)
+    else oracle_random_net st
+  in
+  let scale = [| 1.0; 1e3; 1e9 |].(Random.State.int st 3) in
+  let box =
+    B.of_bounds (Array.init (Net.input_dim net) (fun _ -> oracle_bounds st ~scale))
+  in
+  (net, box)
+
+let outcome f = try Ok (f ()) with e -> Error (Printexc.to_string e)
+
+let same_outcome same a b =
+  match (a, b) with
+  | Ok x, Ok y -> same x y
+  | Error x, Error y -> String.equal x y
+  | _ -> false
+
+let same_box a b =
+  B.dim a = B.dim b
+  && Array.for_all2
+       (fun x y -> same_float (I.lo x) (I.lo y) && same_float (I.hi x) (I.hi y))
+       (B.to_array a) (B.to_array b)
+
+let same_output_bounds a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun (lc, lk, uc, uk) (lc', lk', uc', uk') ->
+         same_array lc lc' && same_float lk lk' && same_array uc uc'
+         && same_float uk uk')
+       a b
+
+let kernel_matches_oracle (net, box) =
+  same_outcome same_box
+    (outcome (fun () -> Sym.propagate net box))
+    (outcome (fun () -> O.propagate net box))
+  && same_outcome same_output_bounds
+       (outcome (fun () -> Sym.output_bounds net box))
+       (outcome (fun () -> O.output_bounds net box))
+
+let prop_kernel_oracle =
+  QCheck.Test.make ~count:400 ~name:"propagate/output_bounds bitwise = oracle"
+    (QCheck.make ~print:(Printf.sprintf "seed=%d") QCheck.Gen.(int_bound 1_000_000))
+    (fun seed -> kernel_matches_oracle (oracle_case seed))
+
+(* The generator must actually reach the corners it is built for: on a
+   fixed seed range, the committed nets, Linear hidden layers, all-zero
+   rows and non-finite output bounds (overflow and infinite inputs) all
+   occur. *)
+let test_oracle_coverage () =
+  let committed = ref 0 and linear = ref 0 and zero_rows = ref 0 in
+  let unbounded = ref 0 in
+  for seed = 0 to 399 do
+    let net, box = oracle_case seed in
+    if List.memq net (Lazy.force committed_nets) then incr committed;
+    let layers = net.Net.layers in
+    Array.iteri
+      (fun li l ->
+        if li < Array.length layers - 1 && l.Net.activation = Act.Linear then
+          incr linear;
+        let w = l.Net.weights in
+        for i = 0 to Mat.rows w - 1 do
+          if Array.for_all (fun x -> x = 0.0) (Mat.row w i) then incr zero_rows
+        done)
+      layers;
+    match outcome (fun () -> O.propagate net box) with
+    | Ok out ->
+        if
+          Array.exists
+            (fun iv -> not (Float.is_finite (I.lo iv) && Float.is_finite (I.hi iv)))
+            (B.to_array out)
+        then incr unbounded
+    | Error _ -> ()
+  done;
+  List.iter
+    (fun (what, n) -> check (Printf.sprintf "reaches %s" what) true (n > 0))
+    [
+      ("committed nets", !committed);
+      ("linear hidden layers", !linear);
+      ("all-zero rows", !zero_rows);
+      ("non-finite output bounds", !unbounded);
+    ]
+
+(* the scratch planes are domain-local: two domains propagating at once
+   give the sequential results *)
+let test_oracle_two_domains () =
+  let cases = Array.init 60 (fun seed -> oracle_case (10_000 + seed)) in
+  let run () =
+    Array.map (fun (net, box) -> outcome (fun () -> Sym.propagate net box)) cases
+  in
+  let seq = run () in
+  let d1 = Domain.spawn run and d2 = Domain.spawn run in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  let agree r = Array.for_all2 (same_outcome same_box) seq r in
+  check "domain 1 = sequential" true (agree r1);
+  check "domain 2 = sequential" true (agree r2);
+  check "sequential = oracle" true
+    (Array.for_all2
+       (fun (net, box) r ->
+         same_outcome same_box r (outcome (fun () -> O.propagate net box)))
+       cases seq)
+
 
 (* ----- local robustness (the Section 2 NN-level property) ----- *)
 
@@ -375,6 +561,13 @@ let () =
           Alcotest.test_case "sound on random nets" `Quick
             test_robustness_random_net_sound;
         ] );
+      ( "kernel oracle",
+          QCheck_alcotest.to_alcotest prop_kernel_oracle
+          :: [
+               Alcotest.test_case "generator coverage" `Quick
+                 test_oracle_coverage;
+               Alcotest.test_case "two domains" `Quick test_oracle_two_domains;
+             ] );
       ( "nnabs-properties",
         List.map QCheck_alcotest.to_alcotest
           [

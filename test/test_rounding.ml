@@ -160,6 +160,73 @@ let test_directed_specials () =
      (s *. s < 2.0 || Float.fma s s (-2.0) <= 0.0)
      && Float.fma u u (-2.0) >= 0.0)
 
+(* ----- the F# kernel's inlined successor / predecessor -----
+
+   Symbolic_prop computes next_up/next_down arithmetically (Rump et al.,
+   BIT 2009) on 2^-1019 <= |x| <= max_float and hands every other input
+   to Rounding.  The two must agree bit for bit everywhere; the sweeps
+   below cover random bit patterns, every power of two with its
+   neighbours, the band around the theorem's excluded range, subnormals
+   and the special values. *)
+
+module K = Nncs_nnabs.Symbolic_prop.Internal
+
+let same_bits a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let agrees x =
+  if Float.is_nan x then Float.is_nan (K.next_up x) && Float.is_nan (K.next_down x)
+  else same_bits (K.next_up x) (R.next_up x) && same_bits (K.next_down x) (R.next_down x)
+
+let first_disagreement xs =
+  List.find_opt (fun x -> not (agrees x)) xs
+
+let check_all name xs =
+  match first_disagreement xs with
+  | None -> ()
+  | Some x -> Alcotest.failf "%s: inlined rounding differs from Rounding at %h" name x
+
+let test_inlined_random_bits () =
+  let st = Random.State.make [| 20_09 |] in
+  for _ = 1 to 1_000_000 do
+    let x = Int64.float_of_bits (Random.State.bits64 st) in
+    if not (agrees x) then
+      Alcotest.failf "inlined rounding differs from Rounding at %h" x
+  done
+
+let with_neighbours x =
+  [ x; R.next_up x; R.next_down x; -.x; R.next_up (-.x); R.next_down (-.x) ]
+
+let test_inlined_powers_of_two () =
+  check_all "powers of two"
+    (List.concat_map
+       (fun e -> with_neighbours (Float.ldexp 1.0 e))
+       (List.init (1024 + 1074) (fun i -> i - 1074)))
+
+let test_inlined_band_and_specials () =
+  (* 2^-1023 .. 2^-1018 spans the subnormal top, the theorem's excluded
+     band near 2^-1021 and the fast path's lower edge 2^-1019 *)
+  let st = Random.State.make [| 1021 |] in
+  let band =
+    List.init 200_000 (fun _ ->
+        let x = Float.ldexp (1.0 +. Random.State.float st 1.0) (-1023 + Random.State.int st 5) in
+        if Random.State.bool st then x else -.x)
+  in
+  let subnormals =
+    List.init 100_000 (fun _ ->
+        let x = Int64.float_of_bits (Random.State.int64 st 0x0010_0000_0000_0000L) in
+        if Random.State.bool st then x else -.x)
+  in
+  check_all "band 2^-1023..2^-1018" band;
+  check_all "subnormals" subnormals;
+  check_all "specials"
+    (List.concat_map with_neighbours
+       [
+         0.0; Int64.float_of_bits 1L; Float.min_float; Float.max_float;
+         0x1p-1019; 0x1p-1021; 0x1p-1022;
+       ]
+    @ [ -0.0; Float.infinity; Float.neg_infinity; Float.nan; -.Float.nan ])
+
 let () =
   Alcotest.run "rounding"
     [
@@ -181,5 +248,14 @@ let () =
             test_next_specials;
           Alcotest.test_case "directed op spot checks" `Quick
             test_directed_specials;
+        ] );
+      ( "inlined kernel rounding",
+        [
+          Alcotest.test_case "1M random bit patterns" `Quick
+            test_inlined_random_bits;
+          Alcotest.test_case "powers of two and neighbours" `Quick
+            test_inlined_powers_of_two;
+          Alcotest.test_case "band near 2^-1021, subnormals, specials" `Quick
+            test_inlined_band_and_specials;
         ] );
     ]
