@@ -249,13 +249,13 @@ let () =
           Alcotest.test_case "directed op spot checks" `Quick
             test_directed_specials;
         ] );
-      ( "inlined kernel rounding",
+      ( "inlined",
         [
           Alcotest.test_case "1M random bit patterns" `Quick
             test_inlined_random_bits;
           Alcotest.test_case "powers of two and neighbours" `Quick
             test_inlined_powers_of_two;
-          Alcotest.test_case "band near 2^-1021, subnormals, specials" `Quick
+          Alcotest.test_case "2^-1021 band, subnormals, specials" `Quick
             test_inlined_band_and_specials;
         ] );
     ]
