@@ -20,6 +20,7 @@ let of_float x =
   if Float.is_nan x then numeric_error "Interval.of_float: NaN"
   else { lo = x; hi = x }
 
+let make_unchecked lo hi = { lo; hi }
 let zero = { lo = 0.0; hi = 0.0 }
 let one = { lo = 1.0; hi = 1.0 }
 

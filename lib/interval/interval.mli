@@ -29,6 +29,12 @@ val make : float -> float -> t
 val of_float : float -> t
 (** Degenerate interval [x, x]. *)
 
+val make_unchecked : float -> float -> t
+(** [make_unchecked lo hi] is [{lo; hi}] with no check at all: for
+    kernels that keep bounds in float arrays and rebuild the interval an
+    arithmetic operation of this module would have returned (whose
+    bounds may be NaN, like theirs).  Use {!make} for anything else. *)
+
 val zero : t
 val one : t
 

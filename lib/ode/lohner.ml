@@ -4,6 +4,7 @@ module IM = Nncs_interval.Interval_matrix
 module R = Nncs_interval.Rounding
 module Mat = Nncs_linalg.Mat
 module Qr = Nncs_linalg.Qr
+module Span = Nncs_obs.Span
 
 type state = { center : float array; frame : Mat.t; errors : I.t array }
 
@@ -170,29 +171,44 @@ let step sys ~order ~t1 ~h ~inputs st =
   Nncs_obs.Metrics.incr m_lohner_steps;
   let n = sys.Ode.dim in
   let zbox = hull st in
-  let prior = Apriori.enclosure sys ~t1 ~h ~state:zbox ~inputs in
+  let prior =
+    Span.with_ "ode.apriori" (fun () ->
+        Apriori.enclosure sys ~t1 ~h ~state:zbox ~inputs)
+  in
   let tape = sys.Ode.tape in
-  (* 1. point Taylor step of the center, remainder over the prior *)
-  let zc =
-    Tape.solution tape ~order:(order - 1) ~time:(I.of_float t1)
-      ~state:(B.of_point st.center) ~inputs
-  in
-  let zpr, prior_jac =
-    Tape.solution_jacobian tape ~order ~time:(step_time t1 h) ~state:prior
-      ~inputs
-  in
-  let hd = I.of_float h in
-  let point_flow =
-    Array.init n (fun i ->
-        let coeffs =
-          Array.init (order + 1) (fun k -> if k < order then zc.(i).(k) else zpr.(i).(k))
+  (* the three tape runs: the center's series up to K-1, the series and
+     Jacobian-entry series over the prior (remainders) and over the
+     current hull *)
+  let zc, (zpr, prior_jac), (zbser, box_jac) =
+    Span.with_ "ode.taylor" (fun () ->
+        let zc =
+          Tape.solution tape ~order:(order - 1) ~time:(I.of_float t1)
+            ~state:(B.of_point st.center) ~inputs
         in
-        Tape.horner coeffs hd)
+        let pr =
+          Tape.solution_jacobian tape ~order ~time:(step_time t1 h) ~state:prior
+            ~inputs
+        in
+        ( zc,
+          pr,
+          Tape.solution_jacobian tape ~order ~time:(I.of_float t1) ~state:zbox
+            ~inputs ))
+  in
+  (* 1. point Taylor step of the center, remainder over the prior, and
+     5. (below) the direct Taylor range over the step *)
+  let point_flow, direct_range =
+    Span.with_ "ode.horner" (fun () ->
+        let expand low d =
+          Array.init n (fun i ->
+              let coeffs =
+                Array.init (order + 1) (fun k ->
+                    if k < order then low.(i).(k) else zpr.(i).(k))
+              in
+              Tape.horner coeffs d)
+        in
+        (expand zc (I.of_float h), B.of_intervals (expand zbser (I.make 0.0 h))))
   in
   (* 2. Jacobian of the flow over the current hull *)
-  let zbser, box_jac =
-    Tape.solution_jacobian tape ~order ~time:(I.of_float t1) ~state:zbox ~inputs
-  in
   let jfull = flow_jacobian sys ~order ~t1 ~h ~prior ~inputs ~box_jac ~prior_jac in
   (* 3. propagate the error set: M = J * frame, d = point defect *)
   let m = IM.mul jfull (interval_frame st) in
@@ -216,16 +232,6 @@ let step sys ~order ~t1 ~h ~inputs st =
   let errors = Array.map2 I.add e1 e2 in
   let next = { center = new_center; frame = q; errors } in
   (* 5. range over the step: the prior meets the direct Taylor range *)
-  let direct_range =
-    let d01 = I.make 0.0 h in
-    B.of_intervals
-      (Array.init n (fun i ->
-           let coeffs =
-             Array.init (order + 1) (fun k ->
-                 if k < order then zbser.(i).(k) else zpr.(i).(k))
-           in
-           Tape.horner coeffs d01))
-  in
   let range =
     match B.meet direct_range prior with Some r -> r | None -> prior
   in

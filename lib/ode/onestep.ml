@@ -17,23 +17,15 @@ let step sys ~order ~t1 ~h ~state ~inputs =
     Span.with_ "ode.taylor" (fun () ->
         let tape = sys.Ode.tape in
         let zs =
-          Tape.solution tape ~order:(order - 1) ~time:(I.of_float t1) ~state
+          Tape.coeffs tape ~order:(order - 1) ~time:(I.of_float t1) ~state
             ~inputs
         in
         ( zs,
-          Tape.solution tape ~order ~time:(I.make t1 (R.add_up t1 h))
+          Tape.coeffs tape ~order ~time:(I.make t1 (R.add_up t1 h))
             ~state:prior ~inputs ))
   in
   Span.with_ "ode.horner" (fun () ->
-      let expand d =
-        B.of_intervals
-          (Array.init sys.Ode.dim (fun i ->
-               let coeffs =
-                 Array.init (order + 1) (fun k ->
-                     if k < order then zs.(i).(k) else zr.(i).(k))
-               in
-               Tape.horner coeffs d))
-      in
+      let expand d = B.of_intervals (Tape.expand zs ~remainder:zr d) in
       let endpoint = expand (I.of_float h) in
       let range_raw = expand (I.make 0.0 h) in
       (* The a-priori box is itself an enclosure over the step; meeting

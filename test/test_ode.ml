@@ -580,4 +580,188 @@ let tape_tests =
       ] );
   ]
 
-let () = Alcotest.run "ode" (main_tests @ additional_tests @ tape_tests)
+(* ----- the tape in the plant's regime -----
+
+   The ACAS Xu plant integrates states of 10^3-10^4 ft with boxes up to
+   ~100 wide, under commands that are often exactly 0, and two of its
+   five right-hand sides are [Const 0.0].  Many of its Taylor
+   coefficients are then [0, 0] and, once nudged, [-2^-1074, 2^-1074]:
+   the operands the tape's assist-free helpers answer without the FPU.
+   These cases come on top of the ones above, in that regime. *)
+
+let gen_plant_interval =
+  QCheck.Gen.(
+    let* c = float_range 1e3 1e4 in
+    let* sign = bool in
+    let* r = oneofl [ 0.0; 1e-3; 0.5; 10.0; 50.0 ] in
+    let c = if sign then c else -.c in
+    return (I.make (c -. r) (c +. r)))
+
+(* the plant's shapes: a rotating intruder, an own-ship turn, a constant *)
+let gen_plant_expr dim =
+  let open QCheck.Gen in
+  let st = map (fun i -> E.State i) (int_bound (dim - 1)) in
+  frequency
+    [
+      (3, return (E.Const 0.0));
+      ( 2,
+        map3
+          (fun a b c -> E.Add (E.Neg (E.Mul (a, E.Sin b)), E.Mul (E.Input 0, c)))
+          st st st );
+      ( 2,
+        map3
+          (fun a b c -> E.Sub (E.Sub (E.Mul (a, E.Cos b), c), E.Mul (E.Input 0, a)))
+          st st st );
+      (1, return (E.Neg (E.Input 0)));
+      (2, gen_expr dim 2);
+    ]
+
+let gen_plant_case =
+  QCheck.Gen.(
+    let* dim = int_range 2 5 in
+    let* rhs = array_repeat dim (gen_plant_expr dim) in
+    let* order = int_range 1 8 in
+    let* t0 = float_range 0.0 5.0 in
+    let* time = oneofl [ I.of_float t0; I.make t0 (t0 +. 0.1) ] in
+    let* state =
+      array_repeat dim (frequency [ (3, gen_plant_interval); (1, gen_interval) ])
+    in
+    let* u =
+      frequency
+        [ (3, return I.zero); (1, oneofl [ I.of_float 0.0262; I.of_float (-0.0262) ]); (1, gen_interval) ]
+    in
+    return
+      { rhs; order; time; state = B.of_intervals state; inputs = B.of_intervals [| u |] })
+
+let arb_plant_case = QCheck.make ~print:print_tape_case gen_plant_case
+
+let prop_tape_plant_bitwise =
+  QCheck.Test.make ~count:300 ~name:"bit-identical to the oracle"
+    arb_plant_case same_outcome
+
+(* Every rule of the helpers must be reached by the cases above, or the
+   bitwise property could not see a fault in it.  The oracle copy on
+   Rule_probe replays, from the tape's final coefficients 0..K-1, the
+   interval operations the tape formed: each node's coefficients, the
+   solution update z_(j+1) = f_j / (j+1), the Jacobian entries, and a
+   Horner sum as Onestep forms it. *)
+let probe_case c =
+  match tape_jacobian c with
+  | exception _ -> ()
+  | z, _ ->
+      let k = c.order in
+      let low = Array.map (fun s -> Array.sub s 0 k) z in
+      let time = Series_probe.time_var (k - 1) c.time in
+      let dim = Array.length c.rhs in
+      Array.iter
+        (fun e ->
+          let f = Series_probe.eval_expr e ~time ~state:low ~inputs:c.inputs in
+          Array.iteri
+            (fun j fj -> ignore (Rule_probe.div fj (I.of_float (float_of_int (j + 1)))))
+            f)
+        c.rhs;
+      for i = 0 to dim - 1 do
+        for j = 0 to dim - 1 do
+          ignore (Series_probe.eval_expr (E.diff c.rhs.(i) j) ~time ~state:low ~inputs:c.inputs)
+        done
+      done;
+      Array.iter
+        (fun s ->
+          let d = I.make 0.0 0.1 in
+          let acc = ref s.(k) in
+          for m = k - 1 downto 0 do
+            acc := Rule_probe.add s.(m) (Rule_probe.mul d !acc)
+          done)
+        z
+
+let test_tape_rules_reached () =
+  let rand = Random.State.make [| 20 |] in
+  Rule_probe.reset ();
+  for _ = 1 to 300 do
+    probe_case (gen_plant_case rand)
+  done;
+  let reached = Rule_probe.reached () in
+  List.iter
+    (fun rule -> check ("cases reach " ^ rule) true (List.mem rule reached))
+    [
+      "1 nudge: arithmetic successor";
+      "1 nudge: zero";
+      "1 nudge: bit step";
+      "1 nudge: inf or NaN";
+      "2 sum: absorbed";
+      "3 sum: dust";
+      "4 product: zero factor";
+      "4 product: two subnormals";
+      "4 product: dust times normal";
+      "5 scale: dust";
+    ]
+
+(* Onestep's Horner sums on the planes equal the boxed Tape.horner *)
+let prop_expand_is_horner =
+  QCheck.Test.make ~count:300 ~name:"expand bit-identical to horner"
+    (QCheck.pair arb_plant_case (QCheck.make QCheck.Gen.(oneofl [ 0.0; 0.01; 0.1; 0.5 ])))
+    (fun (c, h) ->
+      let tape = (system_of c).Ode.tape in
+      let run order = Tape.coeffs tape ~order ~time:c.time ~state:c.state ~inputs:c.inputs in
+      let sol order = Tape.solution tape ~order ~time:c.time ~state:c.state ~inputs:c.inputs in
+      match (run (c.order - 1), run c.order) with
+      | exception _ -> true
+      | low, remainder ->
+          let zs = sol (c.order - 1) and zr = sol c.order in
+          List.for_all
+            (fun d ->
+              let got = Tape.expand low ~remainder d in
+              Array.for_all Fun.id
+                (Array.mapi
+                   (fun i g ->
+                     let coeffs =
+                       Array.init (c.order + 1) (fun k ->
+                           if k < c.order then zs.(i).(k) else zr.(i).(k))
+                     in
+                     same_iv g (Tape.horner coeffs d))
+                   got))
+            [ I.of_float h; I.make 0.0 h ])
+
+(* Loehner's step splits its time like Onestep's: under each
+   ode.simulate span of a Lohner run, ode.apriori, ode.taylor and
+   ode.horner spans one level down *)
+let test_lohner_spans () =
+  let module Trace = Nncs_obs.Trace in
+  Trace.enable ();
+  ignore
+    (Simulate.simulate ~scheme:Simulate.Lohner oscillator ~t0:0.0 ~period:0.5 ~steps:3
+       ~order:4
+       ~state:(B.of_intervals [| I.make 0.9 1.1; I.make (-0.1) 0.1 |])
+       ~inputs:no_inputs);
+  Trace.disable ();
+  let events = Trace.events () in
+  Trace.clear ();
+  let named n = List.filter (fun e -> e.Trace.name = n) events in
+  let sim = named "ode.simulate" in
+  Alcotest.(check int) "one simulate span" 1 (List.length sim);
+  let sim = List.hd sim in
+  List.iter
+    (fun n ->
+      let spans = named n in
+      Alcotest.(check int) (n ^ " once per step") 3 (List.length spans);
+      List.iter
+        (fun e ->
+          check (n ^ " under ode.simulate") true
+            (e.Trace.depth = sim.Trace.depth + 1
+            && e.Trace.ts >= sim.Trace.ts
+            && e.Trace.ts +. e.Trace.dur <= sim.Trace.ts +. sim.Trace.dur))
+        spans)
+    [ "ode.apriori"; "ode.taylor"; "ode.horner" ]
+
+let plant_tape_tests =
+  [
+    ( "tape plant",
+      [
+        QCheck_alcotest.to_alcotest prop_tape_plant_bitwise;
+        Alcotest.test_case "rules reached" `Quick test_tape_rules_reached;
+        QCheck_alcotest.to_alcotest prop_expand_is_horner;
+        Alcotest.test_case "lohner step spans" `Quick test_lohner_spans;
+      ] );
+  ]
+
+let () = Alcotest.run "ode" (main_tests @ additional_tests @ tape_tests @ plant_tape_tests)
