@@ -622,18 +622,17 @@ let e12 () =
   Printf.printf "cache report written to %s\n" !cache_out
 
 (* ------------------------------------------------------------------ *)
-(* E13: leaf scheduler - work-stealing frontier vs per-cell queue       *)
+(* E13: the scheduler - leaf frontier across worker counts              *)
 (* ------------------------------------------------------------------ *)
 
 let leaf_out = ref "BENCH_leaf_sched.json"
 
 let e13 () =
-  section "E13 / leaf scheduler - work-stealing frontier vs per-cell queue";
+  section "E13 / the scheduler - leaf frontier across worker counts";
   (* a deliberately skewed partition: a handful of cells next to the
      collision cylinder refine to max_depth while their neighbours prove
-     at depth 0.  Under the per-cell queue the hard cells serialize on
-     whichever worker picked them up; the leaf frontier fans their
-     subtrees out across all workers *)
+     at depth 0, so the frontier fans the hard cells' subtrees out
+     across all workers *)
   let sys = S.system ~networks:(Lazy.force networks) () in
   let cells =
     if !tiny then
@@ -643,24 +642,21 @@ let e13 () =
         (S.initial_cells ~arcs:12 ~headings:6 ~arc_indices:[ 2; 3 ] ())
   in
   let max_depth = if !tiny then 1 else 2 in
-  let config ~scheduler ~workers =
+  let config ~workers =
     {
       Verify.default_config with
       reach = { Reach.default_config with keep_sets = false };
       strategy = Verify.All_dims [ D.ix; D.iy; D.ipsi ];
       max_depth;
       workers;
-      scheduler;
     }
   in
   let signature = report_signature in
   let m_steals = Nncs_obs.Metrics.counter "verify.steals" in
-  let run label scheduler workers =
+  let run label workers =
     let s0 = Nncs_obs.Metrics.value m_steals in
     let t0 = now () in
-    let report =
-      Verify.verify_partition ~config:(config ~scheduler ~workers) sys cells
-    in
+    let report = Verify.verify_partition ~config:(config ~workers) sys cells in
     let dt = now () -. t0 in
     let steals = Nncs_obs.Metrics.value m_steals - s0 in
     Printf.printf
@@ -668,30 +664,25 @@ let e13 () =
       report.Verify.coverage steals;
     (signature report, report.Verify.coverage, dt, steals)
   in
-  let sig_seq, coverage, t_seq, _ = run "sequential" Verify.Cells 1 in
+  let sig_seq, coverage, t_seq, _ = run "sequential" 1 in
   let variant workers =
-    let sig_c, _, t_c, _ = run (Printf.sprintf "cells/%d" workers) Verify.Cells workers in
-    let sig_l, _, t_l, steals =
-      run (Printf.sprintf "leaves/%d" workers) Verify.Leaves workers
-    in
-    let ok = sig_c = sig_seq && sig_l = sig_seq in
-    (workers, t_c, t_l, steals, ok)
+    let sig_w, _, t_w, steals = run (Printf.sprintf "workers=%d" workers) workers in
+    (workers, t_w, steals, sig_w = sig_seq)
   in
-  let variants = List.map variant [ 4; 8 ] in
-  let verdicts_match = List.for_all (fun (_, _, _, _, ok) -> ok) variants in
+  let variants = List.map variant [ 2; 4 ] in
+  let verdicts_match = List.for_all (fun (_, _, _, ok) -> ok) variants in
   List.iter
-    (fun (w, t_c, t_l, _, _) ->
-      Printf.printf "workers=%d: leaves %.2fx vs cells (%.2f s -> %.2f s)\n" w
-        (if t_l > 0.0 then t_c /. t_l else 0.0)
-        t_c t_l)
+    (fun (w, t_w, _, _) ->
+      Printf.printf "workers=%d: %.2fx vs sequential (%.2f s -> %.2f s)\n" w
+        (if t_w > 0.0 then t_seq /. t_w else 0.0)
+        t_seq t_w)
     variants;
-  Printf.printf "verdicts identical across schedulers: %b\n" verdicts_match;
+  Printf.printf "verdicts identical across worker counts: %b\n" verdicts_match;
   let module J = Nncs_obs.Json in
   (* wall-clock comparisons only mean something relative to the host's
-     core count: on a single-core CI runner every multi-domain config
-     loses to sequential (stop-the-world GC synchronizes all domains),
-     and the frontier's whole point — keeping every domain busy — makes
-     it the worst off.  Record the cores so readers can tell *)
+     core count: with more domains than cores every stop-the-world minor
+     GC waits for descheduled domains, so the 4-worker run loses on a
+     2-core host.  Record the cores so readers can tell *)
   Printf.printf "host cores (recommended domains): %d\n"
     (Domain.recommended_domain_count ());
   let json =
@@ -706,12 +697,11 @@ let e13 () =
          ("verdicts_match", J.Bool verdicts_match);
        ]
       @ List.concat_map
-          (fun (w, t_c, t_l, steals, _) ->
+          (fun (w, t_w, steals, _) ->
             [
-              (Printf.sprintf "t_cells_%d_s" w, J.Num t_c);
-              (Printf.sprintf "t_leaves_%d_s" w, J.Num t_l);
-              ( Printf.sprintf "speedup_leaves_%d" w,
-                J.Num (if t_l > 0.0 then t_c /. t_l else 0.0) );
+              (Printf.sprintf "t_workers_%d_s" w, J.Num t_w);
+              ( Printf.sprintf "speedup_workers_%d" w,
+                J.Num (if t_w > 0.0 then t_seq /. t_w else 0.0) );
               (Printf.sprintf "steals_%d" w, J.Num (float_of_int steals));
             ])
           variants)
@@ -720,7 +710,7 @@ let e13 () =
   output_string oc (J.to_string json);
   output_char oc '\n';
   close_out oc;
-  Printf.printf "leaf-scheduler report written to %s\n" !leaf_out
+  Printf.printf "scheduler report written to %s\n" !leaf_out
 
 (* ------------------------------------------------------------------ *)
 (* E14: verification service - memo and cache tiers vs full runs        *)
@@ -1105,123 +1095,6 @@ let e15 () =
   Printf.printf "serve robustness report written to %s\n" !robust_out
 
 (* ------------------------------------------------------------------ *)
-(* E16: batched multi-leaf F# - lockstep leaf batching vs scalar        *)
-(* ------------------------------------------------------------------ *)
-
-let batched_out = ref "BENCH_batched.json"
-
-let e16 () =
-  section "E16 / batched F# - lockstep leaf batching (--batch-leaves)";
-  (* the regime leaf batching targets: nn_splits >= 2 multiplies the
-     kernel work per F# query (each call pushes 2^splits bisection
-     leaves), so amortizing weight streaming across co-scheduled
-     frontier leaves pays; the e13 skewed partition supplies the deep
-     refinement frontiers to drain from *)
-  let nn_splits = 2 in
-  let sys = S.system ~networks:(Lazy.force networks) ~nn_splits () in
-  let cells =
-    if !tiny then
-      List.map snd (S.initial_cells ~arcs:12 ~headings:4 ~arc_indices:[ 6 ] ())
-    else
-      List.map snd
-        (S.initial_cells ~arcs:12 ~headings:6 ~arc_indices:[ 2; 3 ] ())
-  in
-  let max_depth = if !tiny then 1 else 2 in
-  let config ~batch_leaves =
-    {
-      Verify.default_config with
-      reach = { Reach.default_config with keep_sets = false };
-      strategy = Verify.All_dims [ D.ix; D.iy; D.ipsi ];
-      max_depth;
-      workers = 1;
-      scheduler = Verify.Leaves;
-      batch_leaves;
-    }
-  in
-  let m_batches = Nncs_obs.Metrics.counter "verify.fsharp_batches" in
-  let m_batched = Nncs_obs.Metrics.counter "verify.fsharp_batched_queries" in
-  let run label batch_leaves =
-    let b0 = Nncs_obs.Metrics.value m_batches
-    and q0 = Nncs_obs.Metrics.value m_batched in
-    let t0 = now () in
-    let report =
-      Verify.verify_partition ~config:(config ~batch_leaves) sys cells
-    in
-    let dt = now () -. t0 in
-    let batches = Nncs_obs.Metrics.value m_batches - b0
-    and queries = Nncs_obs.Metrics.value m_batched - q0 in
-    let leaves =
-      List.fold_left
-        (fun n (c : Verify.cell_report) -> n + List.length c.Verify.leaves)
-        0 report.Verify.cells
-    in
-    let per_leaf = if leaves > 0 then dt /. float_of_int leaves else 0.0 in
-    Printf.printf
-      "%-12s %8.2f s   %8.1f ms/leaf   coverage %5.1f%%   batches %5d   \
-       batched queries %5d\n\
-       %!"
-      label dt (per_leaf *. 1000.0) report.Verify.coverage batches queries;
-    (report_signature report, report.Verify.coverage, dt, per_leaf, batches, queries)
-  in
-  let sig_1, coverage, t_1, pl_1, _, _ = run "scalar (K=1)" 1 in
-  let variants =
-    List.map
-      (fun k ->
-        let sig_k, _, t_k, pl_k, batches, queries = run (Printf.sprintf "K=%d" k) k in
-        let mean_width =
-          if batches > 0 then float_of_int queries /. float_of_int batches else 0.0
-        in
-        (k, t_k, pl_k, batches, queries, mean_width, sig_k = sig_1))
-      [ 4; 16 ]
-  in
-  let verdicts_match = List.for_all (fun (_, _, _, _, _, _, ok) -> ok) variants in
-  List.iter
-    (fun (k, t_k, _, _, _, mean_width, _) ->
-      Printf.printf
-        "K=%d: %.2fx vs scalar (%.2f s -> %.2f s), mean batch width %.1f\n" k
-        (if t_k > 0.0 then t_1 /. t_k else 0.0)
-        t_1 t_k mean_width)
-    variants;
-  Printf.printf "verdicts identical across batch widths: %b\n" verdicts_match;
-  (* batching amortizes weight streaming inside one domain: unlike e13
-     its win does not require multiple cores, but the wall clocks are
-     still only comparable on the host that produced them *)
-  Printf.printf "host cores (recommended domains): %d\n"
-    (Domain.recommended_domain_count ());
-  let module J = Nncs_obs.Json in
-  let json =
-    J.Obj
-      ([
-         ("tiny", J.Bool !tiny);
-         ("host_cores", J.Num (float_of_int (Domain.recommended_domain_count ())));
-         ("nn_splits", J.Num (float_of_int nn_splits));
-         ("cells", J.Num (float_of_int (List.length cells)));
-         ("max_depth", J.Num (float_of_int max_depth));
-         ("coverage_pct", J.Num coverage);
-         ("t_scalar_s", J.Num t_1);
-         ("per_leaf_scalar_s", J.Num pl_1);
-         ("verdicts_match", J.Bool verdicts_match);
-       ]
-      @ List.concat_map
-          (fun (k, t_k, pl_k, batches, queries, mean_width, _) ->
-            [
-              (Printf.sprintf "t_batched_%d_s" k, J.Num t_k);
-              (Printf.sprintf "per_leaf_batched_%d_s" k, J.Num pl_k);
-              ( Printf.sprintf "speedup_batched_%d" k,
-                J.Num (if t_k > 0.0 then t_1 /. t_k else 0.0) );
-              (Printf.sprintf "batches_%d" k, J.Num (float_of_int batches));
-              (Printf.sprintf "batched_queries_%d" k, J.Num (float_of_int queries));
-              (Printf.sprintf "mean_batch_width_%d" k, J.Num mean_width);
-            ])
-          variants)
-  in
-  let oc = open_out !batched_out in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "batched-F# report written to %s\n" !batched_out
-
-(* ------------------------------------------------------------------ *)
 (* E17: backreachability oracle - table build cost vs lookup latency    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1467,14 +1340,13 @@ let () =
   Option.iter (fun p -> leaf_out := p) (List.find_map (prefixed "--leaf-out=") args);
   Option.iter (fun p -> serve_out := p) (List.find_map (prefixed "--serve-out=") args);
   Option.iter (fun p -> robust_out := p) (List.find_map (prefixed "--robust-out=") args);
-  Option.iter (fun p -> batched_out := p) (List.find_map (prefixed "--batched-out=") args);
   Option.iter (fun p -> backreach_out := p) (List.find_map (prefixed "--backreach-out=") args);
   if List.mem "--tiny" args then tiny := true;
   let args = List.filter (fun a -> not (String.length a >= 2 && String.sub a 0 2 = "--")) args in
   let all =
     [ ("e1", e1); ("e1b", e1b); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
       ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
-      ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
+      ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
       ("e17", e17) ]
   in
   let want name = args = [] || List.mem name args in

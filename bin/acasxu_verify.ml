@@ -124,8 +124,8 @@ let run_cross_check table report =
   if cc.Backreach.findings = [] then 0 else 3
 
 let run dir arcs headings arc_sel gamma msteps order domain nn_splits
-    max_depth workers scheduler batch_leaves abs_cache abs_cache_quantum
-    abs_cache_shards cell_deadline cell_ode_budget cell_state_budget
+    max_depth workers abs_cache abs_cache_quantum abs_cache_shards
+    cell_deadline cell_ode_budget cell_state_budget
     journal_path resume tiny csv trace backreach backreach_table
     backreach_grid cross_check quiet =
   let _, networks =
@@ -168,17 +168,15 @@ let run dir arcs headings arc_sel gamma msteps order domain nn_splits
           max_symstates = cell_state_budget;
         };
       degrade = true;
-      scheduler;
-      batch_leaves;
     }
   in
   let states = List.map snd cells in
   let fp = Verify.fingerprint ~config sys states in
-  (* checkpoint/resume: load finished cells (and, under the leaf
-     scheduler, journaled terminal leaves of interrupted cells) from the
-     journal, then keep appending to it as new work finishes.  A journal
-     written for a different partition, spec or analysis config is
-     refused: its cell indices and verdicts would be meaningless here. *)
+  (* checkpoint/resume: load finished cells (and journaled terminal
+     leaves of interrupted cells) from the journal, then keep appending
+     to it as new work finishes.  A journal written for a different
+     partition, spec or analysis config is refused: its cell indices and
+     verdicts would be meaningless here. *)
   let resumed =
     match journal_path with
     | Some path when resume && Sys.file_exists path -> (
@@ -241,8 +239,7 @@ let run dir arcs headings arc_sel gamma msteps order domain nn_splits
       writer
   in
   let on_leaf =
-    (* mid-cell checkpoints only matter under the leaf scheduler (the
-       cell scheduler never fires the hook) *)
+    (* mid-cell checkpoints: a resumed run replays these leaves *)
     Option.map
       (fun w cell path leaf ->
         Journal.write w (Verify.leaf_record_to_json ~cell ~path leaf))
@@ -358,28 +355,6 @@ let nn_splits = Arg.(value & opt int 0 & info [ "nn-splits" ] ~doc:"Input bisect
 let max_depth = Arg.(value & opt int 2 & info [ "max-depth" ] ~doc:"Split-refinement depth.")
 let workers = Arg.(value & opt int 1 & info [ "workers" ] ~doc:"Parallel domains.")
 
-let scheduler =
-  Arg.(
-    value
-    & opt (enum [ ("cells", Verify.Cells); ("leaves", Verify.Leaves) ]) Verify.Cells
-    & info [ "scheduler" ]
-        ~doc:
-          "Work scheduler: $(b,cells) (one task per partition cell) or \
-           $(b,leaves) (work-stealing leaf frontier — refinement children \
-           of a hard cell fan out across all workers; enables mid-cell \
-           --resume).  Verdicts and coverage are identical either way.")
-
-let batch_leaves =
-  Arg.(
-    value & opt int 1
-    & info [ "batch-leaves" ]
-        ~doc:
-          "With --scheduler=leaves: number of compatible frontier leaves a \
-           worker drains per pull and runs in lockstep, sharing batched F# \
-           kernel calls.  Verdicts, leaf sets and journal records are \
-           byte-identical at every value; 1 (the default) is the scalar \
-           path.")
-
 let abs_cache =
   Arg.(
     value & opt int 0
@@ -432,8 +407,9 @@ let journal =
     value
     & opt (some string) None
     & info [ "journal" ]
-        ~doc:"Append each finished cell's verdict to this JSONL file \
-              (checkpoint for --resume).")
+        ~doc:"Append each finished leaf's and cell's verdict to this \
+              JSONL file (checkpoint for --resume, which also restarts \
+              an interrupted cell mid-refinement).")
 
 let resume =
   Arg.(
@@ -500,8 +476,8 @@ let cmd =
     (Cmd.info "acasxu_verify" ~doc:"Verify the ACAS Xu closed loop by reachability")
     Term.(
       const run $ dir $ arcs $ headings $ arc_sel $ gamma $ msteps $ order
-      $ domain $ nn_splits $ max_depth $ workers $ scheduler $ batch_leaves
-      $ abs_cache $ abs_cache_quantum $ abs_cache_shards $ cell_deadline
+      $ domain $ nn_splits $ max_depth $ workers $ abs_cache
+      $ abs_cache_quantum $ abs_cache_shards $ cell_deadline
       $ cell_ode_budget $ cell_state_budget $ journal $ resume $ tiny $ csv
       $ trace $ backreach $ backreach_table $ backreach_grid $ cross_check
       $ quiet)

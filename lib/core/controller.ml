@@ -61,60 +61,8 @@ let abstract_scores ?cache ctrl ~box ~prev_cmd =
       Nncs_nnabs.Cache.find_or_compute c ~net_id:(Net.uid net) ~cmd:prev_cmd ~tag
         x run
 
-(* Queries sharing one previous command run the same abstraction on the
-   same network, so they can share a batched kernel call; distinct
-   previous commands are answered group by group (they may select
-   different networks and key the cache differently — co-batching them
-   would be unsound).  Each group consults the cache per leaf and
-   batches only the misses. *)
-let abstract_scores_batch ?cache ctrl queries =
-  let n = Array.length queries in
-  if n = 0 then [||]
-  else begin
-    let out : B.t option array = Array.make n None in
-    let groups : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-    Array.iteri
-      (fun i (_, prev_cmd) ->
-        let tl = try Hashtbl.find groups prev_cmd with Not_found -> [] in
-        Hashtbl.replace groups prev_cmd (i :: tl))
-      queries;
-    let cmds =
-      List.sort Int.compare
-        (Hashtbl.fold (fun c _ acc -> c :: acc) groups [])
-    in
-    List.iter
-      (fun prev_cmd ->
-        let idxs = List.rev (Hashtbl.find groups prev_cmd) in
-        let net = ctrl.networks.(ctrl.select prev_cmd) in
-        let xs =
-          Array.of_list
-            (List.map (fun i -> ctrl.pre_abs (fst queries.(i))) idxs)
-        in
-        let run bs =
-          if ctrl.nn_splits = 0 then T.propagate_batch ctrl.domain net bs
-          else T.propagate_split_batch ctrl.domain ~splits:ctrl.nn_splits net bs
-        in
-        let ys =
-          match cache with
-          | None -> run xs
-          | Some c ->
-              let tag = (ctrl.nn_splits * 3) + domain_tag ctrl.domain in
-              Nncs_nnabs.Cache.find_or_compute_batch c ~net_id:(Net.uid net)
-                ~cmd:prev_cmd ~tag xs run
-        in
-        List.iteri (fun j i -> out.(i) <- Some ys.(j)) idxs)
-      cmds;
-    Array.map
-      (function Some y -> y | None -> assert false (* every index grouped *))
-      out
-  end
-
-(* [post_abs] plus command validation — the half of [abstract_step]
-   after the scores; split out so a batched scorer (the leaf scheduler's
-   lockstep driver) reuses the exact validation, error messages
-   included. *)
-let commands_of_scores ctrl y =
-  let cmds = ctrl.post_abs y in
+let abstract_step ?cache ctrl ~box ~prev_cmd =
+  let cmds = ctrl.post_abs (abstract_scores ?cache ctrl ~box ~prev_cmd) in
   if cmds = [] then
     invalid_arg "Controller.abstract_step: post_abs returned no command";
   List.iter
@@ -123,9 +71,6 @@ let commands_of_scores ctrl y =
         invalid_arg "Controller.abstract_step: invalid command index")
     cmds;
   cmds
-
-let abstract_step ?cache ctrl ~box ~prev_cmd =
-  commands_of_scores ctrl (abstract_scores ?cache ctrl ~box ~prev_cmd)
 
 (* A NaN score makes every [<]/[>] comparison below false, so the scan
    would silently fall through to index 0 — poisoned network output

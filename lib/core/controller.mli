@@ -66,25 +66,6 @@ val abstract_scores :
     used by the influence-guided splitting heuristic.  [cache] as in
     {!abstract_step}. *)
 
-val abstract_scores_batch :
-  ?cache:Nncs_nnabs.Cache.t ->
-  t ->
-  (Nncs_interval.Box.t * int) array ->
-  Nncs_interval.Box.t array
-(** Batched {!abstract_scores} over [(box, prev_cmd)] queries: queries
-    are grouped by previous command (hence network and cache key family
-    — groups are never co-batched), the cache is consulted per leaf, and
-    only the misses of a group go through one blocked kernel call
-    ({!Nncs_nnabs.Transformer.propagate_batch}).  Result [i] is
-    bit-for-bit [abstract_scores ?cache ctrl ~box:(fst queries.(i))
-    ~prev_cmd:(snd queries.(i))] evaluated in group order. *)
-
-val commands_of_scores : t -> Nncs_interval.Box.t -> int list
-(** The post-processing half of {!abstract_step}: [post_abs] on a score
-    box with the same command validation (and the same error messages).
-    [abstract_step] is [commands_of_scores] of {!abstract_scores};
-    exposed so a batched scorer reuses the validation verbatim. *)
-
 (** {1 Ready-made post-processings} *)
 
 val argmin_post : float array -> int

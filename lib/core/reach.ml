@@ -55,8 +55,7 @@ let is_proved_safe r = r.outcome = Proved_safe
 
 exception Error_contact of int
 
-let analyze ?(config = default_config) ?(budget = Budget.none) ?abstract sys r0
-    =
+let analyze ?(config = default_config) ?(budget = Budget.none) sys r0 =
   if config.integration_steps <= 0 then
     invalid_arg "Reach.analyze: non-positive integration_steps";
   let ctrl = sys.System.controller in
@@ -65,16 +64,6 @@ let analyze ?(config = default_config) ?(budget = Budget.none) ?abstract sys r0
      the parallel driver share it (per-shard locks), and a resident
      multi-query server keeps it warm across successive jobs *)
   let cache = Option.map Nncs_nnabs.Cache.shared config.abs_cache in
-  (* the controller-abstraction hook: the leaf scheduler's lockstep
-     driver overrides it to park the leaf at every F# query so queries
-     from co-scheduled leaves batch into one blocked kernel call; it
-     receives the *current* controller, so the degradation ladder's
-     domain swap still reaches the override *)
-  let abstract_step =
-    match abstract with
-    | Some f -> fun ~box ~prev_cmd -> f ctrl ~box ~prev_cmd
-    | None -> fun ~box ~prev_cmd -> Controller.abstract_step ?cache ctrl ~box ~prev_cmd
-  in
   let num_commands = Command.size ctrl.Controller.commands in
   let period = ctrl.Controller.period in
   let q = sys.System.horizon_steps in
@@ -140,7 +129,8 @@ let analyze ?(config = default_config) ?(budget = Budget.none) ?abstract sys r0
           Span.with_ "reach.abstract"
             ~attrs:[ ("step", Nncs_obs.Trace.Int j) ]
             (fun () ->
-              abstract_step ~box:st.Symstate.box ~prev_cmd:st.Symstate.cmd)
+              Controller.abstract_step ?cache ctrl ~box:st.Symstate.box
+                ~prev_cmd:st.Symstate.cmd)
         in
         List.iter
           (fun c ->
@@ -212,9 +202,9 @@ let classify = function
 
 type verdict = (result, Failure_.t) Stdlib.result
 
-let run ?config ?budget ?abstract sys r0 =
+let run ?config ?budget sys r0 =
   Nncs_resilience.Firewall.protect ~classify (fun () ->
-      try analyze ?config ?budget ?abstract sys r0
+      try analyze ?config ?budget sys r0
       with Error_contact j ->
         (* boundary safety net: an early-abort contact that escaped the
            in-analysis handler is still a definite not-proved verdict,

@@ -60,8 +60,6 @@ exception Error_contact of int
 val analyze :
   ?config:config ->
   ?budget:Nncs_resilience.Budget.t ->
-  ?abstract:
-    (Controller.t -> box:Nncs_interval.Box.t -> prev_cmd:int -> int list) ->
   System.t ->
   Symset.t ->
   result
@@ -71,18 +69,7 @@ val analyze :
     [Nncs_resilience.Budget.Exhausted] when the [budget] runs out
     (checked once per control step), or
     [Nncs_interval.Interval.Numeric_error] on numeric garbage.  Callers
-    that must not die use {!run}.
-
-    [abstract] overrides the controller-abstraction call of every
-    control step (default
-    [Controller.abstract_step ?cache sys.controller]): the leaf
-    scheduler's batched mode passes a hook that parks the analysis at
-    each F# query so co-scheduled leaves share one blocked kernel call.
-    The override receives the system's {e current} controller — under
-    the degradation ladder's interval rung, the domain-swapped one — and
-    must be semantically identical to the default for verdicts to be
-    preserved.  When [abstract] is given, [config.abs_cache] is the
-    override's responsibility. *)
+    that must not die use {!run}. *)
 
 type verdict = (result, Nncs_resilience.Failure.t) Stdlib.result
 
@@ -94,8 +81,6 @@ val classify : exn -> Nncs_resilience.Failure.t option
 val run :
   ?config:config ->
   ?budget:Nncs_resilience.Budget.t ->
-  ?abstract:
-    (Controller.t -> box:Nncs_interval.Box.t -> prev_cmd:int -> int list) ->
   System.t ->
   Symset.t ->
   verdict

@@ -18,25 +18,16 @@ let m_retry_halved = Metrics.counter "resilience.retry_halved_step"
 let m_fallback_interval = Metrics.counter "resilience.fallback_interval"
 let m_unknown_leaves = Metrics.counter "resilience.unknown_leaves"
 let m_worker_crashes = Metrics.counter "resilience.worker_crashes"
-let m_requeued_cells = Metrics.counter "resilience.requeued_cells"
 
-(* leaf-scheduler instruments (see DESIGN.md "Leaf scheduler") *)
+(* scheduler instruments (see DESIGN.md "The scheduler") *)
 let m_steals = Metrics.counter "verify.steals"
 let m_requeued_leaves = Metrics.counter "resilience.requeued_leaves"
 let m_replayed_leaves = Metrics.counter "verify.replayed_leaves"
 let h_frontier = Metrics.histogram "verify.frontier_size"
 
-(* batched-F# instruments (see DESIGN.md "Batched F#"): one batch = one
-   grouped kernel call answering the parked queries of co-scheduled
-   leaves *)
-let m_batches = Metrics.counter "verify.fsharp_batches"
-let m_batched_queries = Metrics.counter "verify.fsharp_batched_queries"
-
 type split_strategy =
   | All_dims of int list
   | Most_influential of { candidates : int list; take : int }
-
-type scheduler = Cells | Leaves
 
 type config = {
   reach : Reach.config;
@@ -45,8 +36,6 @@ type config = {
   workers : int;
   limits : Budget.limits;
   degrade : bool;
-  scheduler : scheduler;
-  batch_leaves : int;
 }
 
 let default_config =
@@ -57,8 +46,6 @@ let default_config =
     workers = 1;
     limits = Budget.unlimited;
     degrade = true;
-    scheduler = Cells;
-    batch_leaves = 1;
   }
 
 (* Influence of a dimension on the controller decision: bisect the cell
@@ -158,16 +145,12 @@ let rung_base = "base"
 let rung_halved = "halved_step"
 let rung_interval = "interval_domain"
 
-(* [abstract] is the controller-abstraction override threaded down to
-   {!Reach.analyze}; the batched leaf scheduler passes the
-   query-parking hook, the scalar paths pass nothing.  It follows the
-   ladder's domain swap because Reach hands it the current controller. *)
-let attempt ?abstract reach_config budget sys st =
-  Reach.run ~config:reach_config ~budget ?abstract sys (Symset.of_list [ st ])
+let attempt reach_config budget sys st =
+  Reach.run ~config:reach_config ~budget sys (Symset.of_list [ st ])
 
-let run_ladder ?abstract config budget sys st =
+let run_ladder config budget sys st =
   let base = config.reach in
-  match attempt ?abstract base budget sys st with
+  match attempt base budget sys st with
   | Ok r -> (Ok r, [ rung_base ])
   | Error ((Failure_.Budget_exceeded _ | Failure_.Cancelled _) as f) ->
       (Error f, [ rung_base ])
@@ -176,7 +159,7 @@ let run_ladder ?abstract config budget sys st =
       let halved =
         { base with Reach.integration_steps = 2 * base.Reach.integration_steps }
       in
-      match attempt ?abstract halved budget sys st with
+      match attempt halved budget sys st with
       | Ok r -> (Ok r, [ rung_base; rung_halved ])
       | Error ((Failure_.Budget_exceeded _ | Failure_.Cancelled _) as f) ->
           (Error f, [ rung_base; rung_halved ])
@@ -193,17 +176,17 @@ let run_ladder ?abstract config budget sys st =
                   { ctrl with Controller.domain = Nncs_nnabs.Transformer.Interval };
               }
             in
-            match attempt ?abstract halved budget sys' st with
+            match attempt halved budget sys' st with
             | Ok r -> (Ok r, [ rung_base; rung_halved; rung_interval ])
             | Error f3 -> (Error f3, [ rung_base; rung_halved; rung_interval ])
           end)
 
-let run_leaf ?abstract config budget sys st =
+let run_leaf config budget sys st =
   let t0 = now () in
   let verdict, rungs =
-    if config.degrade then run_ladder ?abstract config budget sys st
+    if config.degrade then run_ladder config budget sys st
     else
-      match attempt ?abstract config.reach budget sys st with
+      match attempt config.reach budget sys st with
       | Ok r -> (Ok r, [ rung_base ])
       | Error f -> (Error f, [ rung_base ])
   in
@@ -218,90 +201,13 @@ let unknown_leaf ?(rungs = []) ?(elapsed = 0.0) ~depth st f =
   Metrics.incr m_unknown_leaves;
   { state = st; depth; proved = false; result = Failed f; rungs; elapsed }
 
-let verify_cell ?cancel ?(config = default_config) ?(index = 0) sys cell =
-  if config.max_depth < 0 then invalid_arg "Verify.verify_cell: negative depth";
-  (match config.strategy with
-  | All_dims [] | Most_influential { candidates = []; _ }
+let check_config who config =
+  if config.max_depth < 0 then invalid_arg (who ^ ": negative depth");
+  match config.strategy with
+  | (All_dims [] | Most_influential { candidates = []; _ })
     when config.max_depth > 0 ->
-      invalid_arg "Verify.verify_cell: no split dimensions"
-  | All_dims _ | Most_influential _ -> ());
-  let factor = float_of_int (1 lsl strategy_arity config.strategy) in
-  let budget = Budget.start ?cancel config.limits in
-  let rec go depth st =
-    let (verdict, rungs, dt) =
-      Span.with_ "verify.leaf"
-        ~attrs:[ ("depth", Nncs_obs.Trace.Int depth) ]
-        (fun () -> run_leaf config budget sys st)
-    in
-    Metrics.incr m_leaves;
-    let proved =
-      match verdict with Ok r -> Reach.is_proved_safe r | Error _ -> false
-    in
-    if proved then Metrics.incr m_proved_leaves;
-    let out_of_budget =
-      match verdict with
-      | Error (Failure_.Budget_exceeded _ | Failure_.Cancelled _) -> true
-      | _ -> false
-    in
-    (* refinement also drives "could not conclude": a failed leaf is
-       split like an unproved one (smaller boxes often restore the
-       enclosure) — except when the budget is gone or the job was
-       cancelled, where splitting would only multiply the failures *)
-    if proved || depth >= config.max_depth || out_of_budget then begin
-      (match verdict with
-      | Ok r ->
-          [
-            {
-              state = st;
-              depth;
-              proved;
-              result = Completed r.Reach.outcome;
-              rungs;
-              elapsed = dt;
-            };
-          ]
-      | Error f -> [ unknown_leaf ~rungs ~elapsed:dt ~depth st f ])
-    end
-    else
-      List.concat_map (go (depth + 1))
-        (Symstate.split st (dims_to_split config sys st))
-  in
-  let t0 = now () in
-  let span =
-    Span.enter ~attrs:[ ("index", Nncs_obs.Trace.Int index) ] "verify.cell"
-  in
-  let leaves =
-    Fun.protect
-      ~finally:(fun () -> Span.exit span)
-      (fun () ->
-        (* the per-cell firewall: any exception the per-leaf ladder did
-           not absorb (strategy evaluation, splitting, injected faults,
-           plain bugs) degrades this one cell to Unknown *)
-        match
-          Firewall.protect ~classify:Reach.classify (fun () ->
-              Fault.trigger ~key:(string_of_int index) "verify.cell";
-              go 0 cell)
-        with
-        | Ok leaves -> leaves
-        | Error f -> [ unknown_leaf ~depth:0 cell f ])
-  in
-  Metrics.incr m_cells;
-  let proved_fraction =
-    (List.fold_left
-       (fun acc leaf ->
-         if leaf.proved then acc +. (1.0 /. (factor ** float_of_int leaf.depth))
-         else acc)
-       0.0 leaves)
-    [@lint.fp_exact
-      "progress accounting for reports: verdicts come from the leaf \
-       proofs, not from this number"]
-  in
-  {
-    index;
-    leaves;
-    proved_fraction;
-    elapsed = (now () -. t0) [@lint.fp_exact "wall-clock telemetry"];
-  }
+      invalid_arg (who ^ ": no split dimensions")
+  | All_dims _ | Most_influential _ -> ()
 
 let coverage_of_cells cells =
   match cells with
@@ -312,116 +218,49 @@ let coverage_of_cells cells =
       /. float_of_int (List.length cells))
       [@lint.fp_exact "coverage percentage for reports only"]
 
-let crashed_cell_report index st msg =
-  {
-    index;
-    leaves = [ unknown_leaf ~depth:0 st (Failure_.Worker_crashed msg) ];
-    proved_fraction = 0.0;
-    elapsed = 0.0;
-  }
+(* ----- the scheduler -----
 
-(* ----- the per-cell scheduler (config.scheduler = Cells) -----
-
-   The original flat work queue: each pending cell index is one task; a
-   worker runs the cell's whole refinement tree to completion. *)
-
-let run_cells ?cancel ~config ~count_once ~on_cell
-    ~(results : cell_report option array) ~(cells_arr : Symstate.t array) sys
-    pending =
-  let run_one i =
-    let r = verify_cell ?cancel ~config ~index:i sys cells_arr.(i) in
-    (match on_cell with Some f -> f r | None -> ());
-    count_once i;
-    r
-  in
-  let n_pending = List.length pending in
-  if config.workers <= 1 || n_pending <= 1 then
-    List.iter (fun i -> results.(i) <- Some (run_one i)) pending
-  else begin
-    (* Fault-isolated parallel workers over a shared queue.  Each worker
-       pulls the next pending index; a cell that raises through every
-       firewall is recorded as crashed (first try/with); a worker domain
-       that dies wholesale (fatal exception) forfeits its unrecorded
-       cells, which the recovery sweep below re-runs in this domain. *)
-    let queue = Array.of_list pending in
-    let next = Atomic.make 0 in
-    let nworkers = min config.workers n_pending in
-    let worker w () =
-      Span.with_ "verify.worker"
-        ~attrs:[ ("worker", Nncs_obs.Trace.Int w) ]
-        (fun () ->
-          let out = ref [] in
-          let rec pull () =
-            let k = Atomic.fetch_and_add next 1 in
-            if k < Array.length queue then begin
-              let i = queue.(k) in
-              (try out := (i, run_one i) :: !out
-               with e when not (Firewall.fatal e) ->
-                 Metrics.incr m_worker_crashes;
-                 out :=
-                   (i, crashed_cell_report i cells_arr.(i) (Printexc.to_string e))
-                   :: !out;
-                 count_once i);
-              pull ()
-            end
-          in
-          pull ();
-          !out)
-    in
-    let domains = List.init nworkers (fun w -> Domain.spawn (worker w)) in
-    List.iter
-      (fun d ->
-        match Domain.join d with
-        | rs -> List.iter (fun (i, r) -> results.(i) <- Some r) rs
-        | exception _ ->
-            (* the domain died; its completed-but-unreported and
-               in-flight cells are still None and will be re-queued *)
-            Metrics.incr m_worker_crashes)
-      domains;
-    (* crash recovery: re-run every cell no surviving worker reported.
-       [count_once] keeps [progress] honest here: a re-run of a cell the
-       dead worker had already counted must not count again. *)
-    Array.iteri
-      (fun i r ->
-        if r = None then begin
-          Metrics.incr m_requeued_cells;
-          results.(i) <- Some (run_one i)
-        end)
-      results
-  end
-
-(* ----- the leaf-frontier scheduler (config.scheduler = Leaves) -----
-
-   One shared, depth- and width-prioritized deque of *leaves*: when a
-   leaf fails to prove and is split, its children go back onto the
-   global frontier that every worker domain pulls from, so the deep
-   refinement of one hard cell fans out across all cores instead of
-   serializing on the domain that happened to pick the cell up.
+   The paper's refinement loop (Section 7.1) as one shared,
+   depth-prioritized frontier of *leaves*: each initial cell enters as
+   a root leaf, and when a leaf fails to prove and is split, its
+   children go back onto the frontier that every worker domain pulls
+   from, so the deep refinement of one hard cell fans out across all
+   cores instead of serializing on the domain that happened to pick the
+   cell up.
 
    Priority: deepest first (a hard cell's subtree completes, bounding
-   both the frontier size and the time to its journal record), widest
-   box first within a depth (the likely-slowest leaves start earliest —
-   LPT-style makespan insurance), and any leaf whose per-cell budget
-   deadline has already passed jumps the queue (it terminates in
-   microseconds and clears its cell's bookkeeping).
+   both the frontier size and the time to its journal record), then any
+   leaf whose per-cell budget deadline has already passed (it
+   terminates in microseconds and clears its cell's bookkeeping), then
+   the lowest (cell, path).  With one worker that is exactly the
+   depth-first order of a recursive refinement: cells in input order,
+   each cell's subtree before the next cell.
 
    Determinism: a leaf is identified by its path (the child indices
    from the cell's root); splitting is a deterministic function of the
    leaf's state, so the set of terminal leaves is independent of the
    execution order, and sorting each cell's completed leaves by path
-   reproduces exactly the depth-first leaf order of the sequential
-   path.  See DESIGN.md "Leaf scheduler". *)
+   reproduces the depth-first leaf order at any worker count.  See
+   DESIGN.md "The scheduler".
+
+   Cells are addressed by slot (position in the [cells] array handed to
+   [run_leaves]); reports, journal hooks, fault keys and spans use the
+   cell's own index. *)
 
 type task = {
-  t_cell : int;
+  t_slot : int;
   t_path : int list;  (* child indices from the root; root = [] *)
   t_state : Symstate.t;
   t_depth : int;
-  t_width : float;
   t_done : bool Atomic.t;  (* claim flag: completion is idempotent *)
 }
 
 let compare_paths = List.compare Int.compare
+
+let earlier a b =
+  match Int.compare a.t_slot b.t_slot with
+  | 0 -> compare_paths a.t_path b.t_path < 0
+  | c -> c < 0
 
 module Frontier = struct
   type t = {
@@ -443,214 +282,67 @@ module Frontier = struct
         f.buckets.(d) <- task :: f.buckets.(d);
         f.size <- f.size + 1)
 
-  (* [pop_where] restricts the pick to tasks satisfying [pred] while
-     keeping the exact priority policy (deepest bucket, expired-first,
-     then widest) — the batched scheduler drains extra tasks that are
-     compatible with the one just popped (same network). *)
-  let pop_where ~expired ~pred f =
+  let pop ~expired f =
     with_lock f (fun () ->
         let rec deepest d =
           if d < 0 then None
           else
-            match List.filter pred f.buckets.(d) with
+            match f.buckets.(d) with
             | [] -> deepest (d - 1)
-            | ts -> Some (d, ts)
+            | t :: rest -> Some (d, t, rest)
         in
         match deepest (Array.length f.buckets - 1) with
         | None -> None
-        | Some (d, ts) ->
-            let pick =
-              match List.find_opt expired ts with
-              | Some t -> t
-              | None ->
-                  List.fold_left
-                    (fun best t ->
-                      if Float.compare t.t_width best.t_width > 0 then t
-                      else best)
-                    (List.hd ts) ts
+        | Some (d, first, rest) ->
+            let pick, _ =
+              List.fold_left
+                (fun ((best, best_expired) as acc) t ->
+                  let e = expired t in
+                  if
+                    (e && not best_expired)
+                    || (Bool.equal e best_expired && earlier t best)
+                  then (t, e)
+                  else acc)
+                (first, expired first) rest
             in
             f.buckets.(d) <- List.filter (fun t -> t != pick) f.buckets.(d);
             f.size <- f.size - 1;
             Metrics.observe h_frontier (float_of_int f.size);
             Some pick)
-
-  let pop ~expired f = pop_where ~expired ~pred:(fun _ -> true) f
 end
 
-(* ----- batched F# via lockstep fibers (config.batch_leaves > 1) -----
-
-   With [--batch-leaves=K], a worker drains up to K compatible frontier
-   tasks per pull and runs their reachability analyses as effect-based
-   fibers in lockstep: each leaf parks at every controller-abstraction
-   query ([Fsharp_scores]), the driver gathers the parked queries of all
-   co-scheduled leaves, answers them with one blocked kernel call
-   ({!Controller.abstract_scores_batch}), and resumes the fibers in
-   index order.
-
-   Verdict preservation: every query is answered with the bitwise value
-   the scalar path would compute (the batched kernel keeps each lane's
-   float-op order), each fiber's own sequence of queries and answers is
-   therefore identical to its scalar execution, and reassembly is the
-   unchanged path-sorted DFS — so verdicts, leaf sets and journal
-   records are byte-identical to [batch_leaves = 1] at any worker
-   count.  Per-leaf firewalls survive batching: a group call that fails
-   is retried query by query on the scalar path, and only the culpable
-   fiber is discontinued with its exception (caught by that leaf's
-   ladder or firewall exactly as in the scalar path). *)
-
-type fsharp_query = { q_ctrl : Controller.t; q_box : B.t; q_cmd : int }
-type _ Effect.t += Fsharp_scores : fsharp_query -> B.t Effect.t
-
-(* The Reach [?abstract] override run inside each fiber: park at the
-   score query, then reuse the scalar post-processing and validation. *)
-let batched_abstract ctrl ~box ~prev_cmd =
-  let y =
-    Effect.perform (Fsharp_scores { q_ctrl = ctrl; q_box = box; q_cmd = prev_cmd })
-  in
-  Controller.commands_of_scores ctrl y
-
-let domain_ord = function
-  | Nncs_nnabs.Transformer.Interval -> 0
-  | Nncs_nnabs.Transformer.Symbolic -> 1
-  | Nncs_nnabs.Transformer.Affine -> 2
-
-(* Run [bodies] as lockstep fibers; returns each body's result.  A body
-   must either return or park at [Fsharp_scores] — any exception it does
-   not absorb propagates out of the driver (fatal worker-death
-   semantics; the caller re-queues the whole group's unfinished tasks).
-   Queries are grouped by abstraction semantics — the ladder's interval
-   rung swaps the controller domain mid-leaf, so co-scheduled fibers on
-   different rungs must not co-batch. *)
-let run_lockstep ~cache (bodies : (unit -> 'a) array) : 'a option array =
-  let n = Array.length bodies in
-  let results : 'a option array = Array.make n None in
-  let parked :
-      (fsharp_query * (B.t, unit) Effect.Deep.continuation) option array =
-    Array.make n None
-  in
-  let handler i =
-    {
-      Effect.Deep.retc = (fun v -> results.(i) <- Some v);
-      exnc = (fun e -> raise e);
-      effc =
-        (fun (type c) (eff : c Effect.t) ->
-          match eff with
-          | Fsharp_scores q ->
-              Some
-                (fun (k : (c, unit) Effect.Deep.continuation) ->
-                  parked.(i) <- Some (q, k))
-          | _ -> None);
-    }
-  in
-  Array.iteri (fun i body -> Effect.Deep.match_with body () (handler i)) bodies;
-  let rec drive () =
-    let pending = ref [] in
-    for i = n - 1 downto 0 do
-      match parked.(i) with
-      | Some (q, _) -> pending := (i, q) :: !pending
-      | None -> ()
-    done;
-    match !pending with
-    | [] -> ()
-    | pending ->
-        let answers : (B.t, exn) result option array = Array.make n None in
-        let groups : (int * int, (int * fsharp_query) list) Hashtbl.t =
-          Hashtbl.create 4
-        in
-        List.iter
-          (fun ((_, q) as iq) ->
-            let key = (domain_ord q.q_ctrl.Controller.domain, q.q_ctrl.Controller.nn_splits) in
-            let tl = try Hashtbl.find groups key with Not_found -> [] in
-            Hashtbl.replace groups key (iq :: tl))
-          pending;
-        let keys =
-          List.sort
-            (fun (a1, b1) (a2, b2) ->
-              match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c)
-            (Hashtbl.fold (fun k _ acc -> k :: acc) groups [])
-        in
-        List.iter
-          (fun key ->
-            let iqs = List.rev (Hashtbl.find groups key) in
-            let ctrl = (snd (List.hd iqs)).q_ctrl in
-            let queries =
-              Array.of_list (List.map (fun (_, q) -> (q.q_box, q.q_cmd)) iqs)
-            in
-            Metrics.incr m_batches;
-            Metrics.add m_batched_queries (Array.length queries);
-            match Controller.abstract_scores_batch ?cache ctrl queries with
-            | ys ->
-                List.iteri (fun j (i, _) -> answers.(i) <- Some (Ok ys.(j))) iqs
-            | exception e when not (Firewall.fatal e) ->
-                (* the per-leaf firewall across a batch: retry each query
-                   alone on the scalar path so only the culpable leaf
-                   fails — its siblings get their scalar-identical
-                   answers *)
-                List.iter
-                  (fun (i, q) ->
-                    answers.(i) <-
-                      Some
-                        (match
-                           Controller.abstract_scores ?cache q.q_ctrl
-                             ~box:q.q_box ~prev_cmd:q.q_cmd
-                         with
-                        | y -> Ok y
-                        | exception e when not (Firewall.fatal e) -> Error e))
-                  iqs)
-          keys;
-        List.iter
-          (fun (i, _) ->
-            match (parked.(i), answers.(i)) with
-            | Some (_, k), Some ans -> (
-                parked.(i) <- None;
-                match ans with
-                | Ok y -> Effect.Deep.continue k y
-                | Error e -> Effect.Deep.discontinue k e)
-            | _ -> assert false)
-          pending;
-        drive ()
-  in
-  drive ();
-  results
-
-let run_leaves ?cancel ~config ~count_once ~on_cell ~on_leaf ~partial
-    ~(results : cell_report option array) ~(cells_arr : Symstate.t array) sys
-    pending =
-  if config.max_depth < 0 then
-    invalid_arg "Verify.verify_partition: negative depth";
-  (match config.strategy with
-  | (All_dims [] | Most_influential { candidates = []; _ })
-    when config.max_depth > 0 ->
-      invalid_arg "Verify.verify_partition: no split dimensions"
-  | All_dims _ | Most_influential _ -> ());
-  let total = Array.length cells_arr in
+let run_leaves ?cancel ~config ~on_cell ~on_leaf ~partial sys
+    (cells : (int * Symstate.t) array) =
+  let total = Array.length cells in
+  let index_of slot = fst cells.(slot) in
   let factor = float_of_int (1 lsl strategy_arity config.strategy) in
   let frontier = Frontier.create (config.max_depth + 1) in
   (* one budget per cell, shared by all of its leaves across domains
      (Budget counters are atomic; the deadline is an absolute stamp) —
      created lazily so the wall clock starts at the cell's first leaf *)
   let budgets = Array.init total (fun _ -> Atomic.make None) in
-  let budget_for i =
-    match Atomic.get budgets.(i) with
+  let budget_for slot =
+    match Atomic.get budgets.(slot) with
     | Some b -> b
     | None ->
         let b = Budget.start ?cancel config.limits in
-        if Atomic.compare_and_set budgets.(i) None (Some b) then b
+        if Atomic.compare_and_set budgets.(slot) None (Some b) then b
         else
-          (match Atomic.get budgets.(i) with
+          (match Atomic.get budgets.(slot) with
           | Some b -> b
           | None -> assert false)
   in
   let expired task =
-    match Atomic.get budgets.(task.t_cell) with
+    match Atomic.get budgets.(task.t_slot) with
     | Some b -> Budget.expired b
     | None -> false
   in
-  let cell_pending = Array.init total (fun _ -> Atomic.make 0) in
+  let cell_pending = Array.init total (fun _ -> Atomic.make 1) in
   let cell_owner = Array.init total (fun _ -> Atomic.make (-1)) in
-  let live = Atomic.make 0 in
+  let live = Atomic.make total in
   let acc : (int list * leaf) list array = Array.make total [] in
   let acc_mutex = Mutex.create () in
+  let results : cell_report option array = Array.make total None in
   (* mid-cell resume: terminal leaves recorded by an interrupted run are
      replayed without recomputation; every proper prefix of a recorded
      path is a node the interrupted run decided to split, so it is
@@ -659,28 +351,20 @@ let run_leaves ?cancel ~config ~count_once ~on_cell ~on_leaf ~partial
   let known_split : (int * int list, unit) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (i, leaves) ->
-      if i >= 0 && i < total then
-        List.iter
-          (fun (path, leaf) ->
-            Hashtbl.replace recorded (i, path) leaf;
-            let rec prefixes pre = function
-              | [] -> ()
-              | k :: rest ->
-                  Hashtbl.replace known_split (i, List.rev pre) ();
-                  prefixes (k :: pre) rest
-            in
-            prefixes [] path)
-          leaves)
+      List.iter
+        (fun (path, leaf) ->
+          Hashtbl.replace recorded (i, path) leaf;
+          let rec prefixes pre = function
+            | [] -> ()
+            | k :: rest ->
+                Hashtbl.replace known_split (i, List.rev pre) ();
+                prefixes (k :: pre) rest
+          in
+          prefixes [] path)
+        leaves)
     partial;
-  let mk_task cell path depth st =
-    {
-      t_cell = cell;
-      t_path = path;
-      t_state = st;
-      t_depth = depth;
-      t_width = Nncs_interval.Box.max_width st.Symstate.box;
-      t_done = Atomic.make false;
-    }
+  let mk_task slot path depth st =
+    { t_slot = slot; t_path = path; t_state = st; t_depth = depth; t_done = Atomic.make false }
   in
   (* callbacks run only after all counters are consistent, and behind a
      crash guard: a raising journal hook must degrade observability, not
@@ -688,12 +372,12 @@ let run_leaves ?cancel ~config ~count_once ~on_cell ~on_leaf ~partial
   let safely fn =
     try fn () with e when not (Firewall.fatal e) -> Metrics.incr m_worker_crashes
   in
-  let finish_cell c =
+  let finish_cell slot =
     let raw =
       Mutex.lock acc_mutex;
       Fun.protect
         ~finally:(fun () -> Mutex.unlock acc_mutex)
-        (fun () -> acc.(c))
+        (fun () -> acc.(slot))
     in
     let leaves =
       List.sort (fun (p, _) (q, _) -> compare_paths p q) raw |> List.map snd
@@ -712,8 +396,8 @@ let run_leaves ?cancel ~config ~count_once ~on_cell ~on_leaf ~partial
       (List.fold_left (fun a (l : leaf) -> a +. l.elapsed) 0.0 leaves)
       [@lint.fp_exact "wall-clock telemetry (sum of per-leaf compute time)"]
     in
-    let report = { index = c; leaves; proved_fraction; elapsed } in
-    results.(c) <- Some report;
+    let report = { index = index_of slot; leaves; proved_fraction; elapsed } in
+    results.(slot) <- Some report;
     Metrics.incr m_cells;
     report
   in
@@ -722,42 +406,39 @@ let run_leaves ?cancel ~config ~count_once ~on_cell ~on_leaf ~partial
       Mutex.lock acc_mutex;
       Fun.protect
         ~finally:(fun () -> Mutex.unlock acc_mutex)
-        (fun () -> acc.(task.t_cell) <- (task.t_path, leaf) :: acc.(task.t_cell));
-      let rem = Atomic.fetch_and_add cell_pending.(task.t_cell) (-1) - 1 in
-      let report = if rem = 0 then Some (finish_cell task.t_cell) else None in
+        (fun () -> acc.(task.t_slot) <- (task.t_path, leaf) :: acc.(task.t_slot));
+      let rem = Atomic.fetch_and_add cell_pending.(task.t_slot) (-1) - 1 in
+      let report = if rem = 0 then Some (finish_cell task.t_slot) else None in
       Atomic.decr live;
       (if not replay then
          safely (fun () ->
              match on_leaf with
-             | Some f -> f task.t_cell task.t_path leaf
+             | Some f -> f (index_of task.t_slot) task.t_path leaf
              | None -> ()));
       match report with
-      | Some r ->
-          safely (fun () ->
-              match on_cell with Some f -> f r | None -> ());
-          safely (fun () -> count_once task.t_cell)
+      | Some r -> safely (fun () -> on_cell r)
       | None -> ()
     end
   in
   let push_children task children =
     if not (Atomic.exchange task.t_done true) then begin
       let n = List.length children in
-      ignore (Atomic.fetch_and_add cell_pending.(task.t_cell) (n - 1));
+      ignore (Atomic.fetch_and_add cell_pending.(task.t_slot) (n - 1));
       ignore (Atomic.fetch_and_add live (n - 1));
       List.iteri
         (fun k st ->
           Frontier.push frontier
-            (mk_task task.t_cell (task.t_path @ [ k ]) (task.t_depth + 1) st))
+            (mk_task task.t_slot (task.t_path @ [ k ]) (task.t_depth + 1) st))
         children
     end
   in
   let task_key task =
-    String.concat "." (List.map string_of_int (task.t_cell :: task.t_path))
+    String.concat "." (List.map string_of_int (index_of task.t_slot :: task.t_path))
   in
   (* replay / deterministic-resplit tasks complete without running any
      reachability; [`Run] tasks carry the real leaf work *)
   let pre_process task =
-    match Hashtbl.find_opt recorded (task.t_cell, task.t_path) with
+    match Hashtbl.find_opt recorded (index_of task.t_slot, task.t_path) with
     | Some leaf ->
         Metrics.incr m_replayed_leaves;
         complete_terminal ~replay:true task leaf;
@@ -765,7 +446,7 @@ let run_leaves ?cancel ~config ~count_once ~on_cell ~on_leaf ~partial
     | None ->
         if
           task.t_depth < config.max_depth
-          && Hashtbl.mem known_split (task.t_cell, task.t_path)
+          && Hashtbl.mem known_split (index_of task.t_slot, task.t_path)
         then begin
           (match
              Firewall.protect ~classify:Reach.classify (fun () ->
@@ -781,16 +462,16 @@ let run_leaves ?cancel ~config ~count_once ~on_cell ~on_leaf ~partial
   in
   (* the per-leaf firewall: anything the ladder did not absorb (strategy
      evaluation, splitting, injected faults, plain bugs) degrades this
-     one leaf — its siblings, and the rest of its own cell, go on.
-     [abstract] is the lockstep driver's query-parking hook; the scalar
-     path passes nothing. *)
-  let leaf_outcome ?abstract task =
-    let budget = budget_for task.t_cell in
+     one leaf — its siblings, and the rest of its own cell, go on.  The
+     "verify.cell" fault site fires on a cell's root leaf only, so a
+     fault armed on a cell degrades that cell to one Unknown leaf. *)
+  let leaf_outcome task =
+    let budget = budget_for task.t_slot in
     Firewall.protect ~classify:Reach.classify (fun () ->
+        if task.t_path = [] then
+          Fault.trigger ~key:(string_of_int (index_of task.t_slot)) "verify.cell";
         Fault.trigger ~key:(task_key task) "verify.leaf";
-        let verdict, rungs, dt =
-          run_leaf ?abstract config budget sys task.t_state
-        in
+        let verdict, rungs, dt = run_leaf config budget sys task.t_state in
         Metrics.incr m_leaves;
         let proved =
           match verdict with
@@ -803,6 +484,10 @@ let run_leaves ?cancel ~config ~count_once ~on_cell ~on_leaf ~partial
           | Error (Failure_.Budget_exceeded _ | Failure_.Cancelled _) -> true
           | _ -> false
         in
+        (* refinement also drives "could not conclude": a failed leaf is
+           split like an unproved one (smaller boxes often restore the
+           enclosure) — except when the budget is gone or the job was
+           cancelled, where splitting would only multiply the failures *)
         if proved || task.t_depth >= config.max_depth || out_of_budget then
           `Terminal
             (match verdict with
@@ -822,47 +507,16 @@ let run_leaves ?cancel ~config ~count_once ~on_cell ~on_leaf ~partial
           `Split
             (Symstate.split task.t_state (dims_to_split config sys task.t_state)))
   in
-  let apply_outcome task = function
-    | Ok (`Terminal leaf) -> complete_terminal task leaf
-    | Ok (`Split children) -> push_children task children
-    | Error f ->
-        complete_terminal task (unknown_leaf ~depth:task.t_depth task.t_state f)
-  in
   let process task =
     match pre_process task with
     | `Done -> ()
-    | `Run -> apply_outcome task (leaf_outcome task)
-  in
-  (* co-scheduled group: run the [`Run] tasks as lockstep fibers sharing
-     batched F# calls; outcomes are applied in task order afterwards, so
-     reassembly sees the same completions as the scalar path *)
-  let cache = Option.map Nncs_nnabs.Cache.shared config.reach.Reach.abs_cache in
-  let process_batch tasks =
-    let run_tasks =
-      List.filter
-        (fun t -> match pre_process t with `Run -> true | `Done -> false)
-        tasks
-    in
-    match run_tasks with
-    | [] -> ()
-    | [ task ] -> apply_outcome task (leaf_outcome task)
-    | run_tasks ->
-        let arr = Array.of_list run_tasks in
-        let bodies =
-          Array.map
-            (fun task () -> leaf_outcome ~abstract:batched_abstract task)
-            arr
-        in
-        let outcomes = run_lockstep ~cache bodies in
-        Array.iteri
-          (fun i task ->
-            match outcomes.(i) with
-            | Some outcome -> apply_outcome task outcome
-            | None ->
-                (* unreachable: a fiber either returns or parks, and the
-                   driver drains every park before returning *)
-                assert false)
-          arr
+    | `Run -> (
+        match leaf_outcome task with
+        | Ok (`Terminal leaf) -> complete_terminal task leaf
+        | Ok (`Split children) -> push_children task children
+        | Error f ->
+            complete_terminal task
+              (unknown_leaf ~depth:task.t_depth task.t_state f))
   in
   let rec worker_loop ?(backoff = 2e-4) w =
     match Frontier.pop ~expired frontier with
@@ -882,93 +536,45 @@ let run_leaves ?cancel ~config ~count_once ~on_cell ~on_leaf ~partial
             w
         end
     | Some task ->
-        (* batched mode: drain up to K-1 extra tasks whose leaves query
-           the same network as the popped one — only same-network
-           frontiers may share a kernel call (mixed-network co-batching
-           would be unsound and is structurally impossible here) *)
-        let group =
-          if config.batch_leaves <= 1 then [ task ]
-          else begin
-            let uid t =
-              let ctrl = sys.System.controller in
-              Nncs_nn.Network.uid
-                ctrl.Controller.networks.(ctrl.Controller.select
-                                            t.t_state.Symstate.cmd)
-            in
-            let u0 = uid task in
-            let rec drain acc r =
-              if r <= 0 then List.rev acc
-              else
-                match
-                  Frontier.pop_where ~expired
-                    ~pred:(fun t -> uid t = u0)
-                    frontier
-                with
-                | None -> List.rev acc
-                | Some t -> drain (t :: acc) (r - 1)
-            in
-            task :: drain [] (config.batch_leaves - 1)
-          end
-        in
-        let stolen_of task =
-          let prev = Atomic.exchange cell_owner.(task.t_cell) w in
-          let stolen = prev >= 0 && prev <> w in
-          if stolen then Metrics.incr m_steals;
-          stolen
-        in
-        let stolen_flags = List.map stolen_of group in
+        let prev = Atomic.exchange cell_owner.(task.t_slot) w in
+        let stolen = prev >= 0 && prev <> w in
+        if stolen then Metrics.incr m_steals;
         (try
-           match group with
-           | [ task ] ->
+           (* a [verify.cell] span per task keeps worker utilization
+              readable from the trace: busy time is the sum of these *)
+           Span.with_ "verify.cell"
+             ~attrs:[ ("index", Nncs_obs.Trace.Int (index_of task.t_slot)) ]
+             (fun () ->
                Span.with_ "verify.leaf"
                  ~attrs:
                    [
-                     ("cell", Nncs_obs.Trace.Int task.t_cell);
+                     ("cell", Nncs_obs.Trace.Int (index_of task.t_slot));
                      ("depth", Nncs_obs.Trace.Int task.t_depth);
                      ("worker", Nncs_obs.Trace.Int w);
-                     ("stolen", Nncs_obs.Trace.Bool (List.hd stolen_flags));
+                     ("stolen", Nncs_obs.Trace.Bool stolen);
                    ]
-                 (fun () -> process task)
-           | group ->
-               Span.with_ "verify.leaf_batch"
-                 ~attrs:
-                   [
-                     ("leaves", Nncs_obs.Trace.Int (List.length group));
-                     ("worker", Nncs_obs.Trace.Int w);
-                   ]
-                 (fun () -> process_batch group)
+                 (fun () -> process task))
          with e ->
            if Firewall.fatal e then begin
-             (* hand the orphans back before dying: every subtree of the
-                group not yet completed is re-queued for the surviving
-                workers (or for the main-domain recovery sweep) *)
-             List.iter
-               (fun task ->
-                 if not (Atomic.get task.t_done) then begin
-                   Metrics.incr m_requeued_leaves;
-                   Frontier.push frontier task
-                 end)
-               group;
+             (* hand the orphan back before dying: a subtree not yet
+                completed is re-queued for the surviving workers (or for
+                the main-domain recovery sweep) *)
+             if not (Atomic.get task.t_done) then begin
+               Metrics.incr m_requeued_leaves;
+               Frontier.push frontier task
+             end;
              raise e
            end
            else begin
              Metrics.incr m_worker_crashes;
-             List.iter
-               (fun task ->
-                 complete_terminal task
-                   (unknown_leaf ~depth:task.t_depth task.t_state
-                      (Failure_.Worker_crashed (Printexc.to_string e))))
-               group
+             complete_terminal task
+               (unknown_leaf ~depth:task.t_depth task.t_state
+                  (Failure_.Worker_crashed (Printexc.to_string e)))
            end);
         worker_loop w
   in
-  List.iter
-    (fun i ->
-      Atomic.set cell_pending.(i) 1;
-      Atomic.incr live;
-      Frontier.push frontier (mk_task i [] 0 cells_arr.(i)))
-    pending;
-  if pending <> [] then
+  Array.iteri (fun slot (_, st) -> Frontier.push frontier (mk_task slot [] 0 st)) cells;
+  if total > 0 then
     if config.workers <= 1 then worker_loop 0
     else begin
       let domains =
@@ -987,12 +593,17 @@ let run_leaves ?cancel ~config ~count_once ~on_cell ~on_leaf ~partial
       (* recovery sweep: if every worker died, the re-queued orphans and
          their cells finish in this domain *)
       if Atomic.get live > 0 then worker_loop config.workers
-    end
+    end;
+  Array.map (function Some r -> r | None -> assert false) results
+
+let verify_cell ?cancel ?(config = default_config) ?(index = 0) sys cell =
+  check_config "Verify.verify_cell" config;
+  (run_leaves ?cancel ~config ~on_cell:ignore ~on_leaf:None ~partial:[] sys
+     [| (index, cell) |]).(0)
 
 let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
     ?on_leaf ?(completed = []) ?(partial = []) sys cells =
-  if config.batch_leaves < 1 then
-    invalid_arg "Verify.verify_partition: batch_leaves must be >= 1";
+  check_config "Verify.verify_partition" config;
   let t0 = now () in
   let cells_arr = Array.of_list cells in
   let total = Array.length cells_arr in
@@ -1001,32 +612,30 @@ let verify_partition ?cancel ?(config = default_config) ?progress ?on_cell
     (fun (c : cell_report) ->
       if c.index >= 0 && c.index < total then results.(c.index) <- Some c)
     completed;
-  let initially_done =
-    Array.fold_left (fun n r -> if r = None then n else n + 1) 0 results
+  (* a shared atomic counter so the parallel path reports each finished
+     cell live (the callback then runs on the worker's domain); the
+     scheduler finishes every cell exactly once, so [progress] never
+     passes [total] even when crash recovery re-runs a leaf *)
+  let done_count =
+    Atomic.make
+      (Array.fold_left (fun n r -> if r = None then n else n + 1) 0 results)
   in
-  (* a shared atomic counter so the parallel paths report each finished
-     cell live (the callback then runs on the worker's domain); each
-     index is counted at most once, so crash-recovery re-runs cannot
-     push [progress] past [total] (they are surfaced through the
-     [resilience.requeued_*] counters instead) *)
-  let done_count = Atomic.make initially_done in
-  let counted = Array.init total (fun i -> Atomic.make (results.(i) <> None)) in
-  let count_once i =
-    if not (Atomic.exchange counted.(i) true) then begin
-      let d = Atomic.fetch_and_add done_count 1 + 1 in
-      match progress with Some f -> f d total | None -> ()
-    end
+  let on_cell r =
+    Fun.protect
+      ~finally:(fun () ->
+        let d = Atomic.fetch_and_add done_count 1 + 1 in
+        match progress with Some f -> f d total | None -> ())
+      (fun () -> match on_cell with Some f -> f r | None -> ())
   in
   let pending =
-    List.filter (fun i -> results.(i) = None) (List.init total Fun.id)
+    List.filter_map
+      (fun i -> if results.(i) = None then Some (i, cells_arr.(i)) else None)
+      (List.init total Fun.id)
   in
-  (match config.scheduler with
-  | Cells ->
-      run_cells ?cancel ~config ~count_once ~on_cell ~results ~cells_arr sys
-        pending
-  | Leaves ->
-      run_leaves ?cancel ~config ~count_once ~on_cell ~on_leaf ~partial
-        ~results ~cells_arr sys pending);
+  Array.iter
+    (fun r -> results.(r.index) <- Some r)
+    (run_leaves ?cancel ~config ~on_cell ~on_leaf ~partial sys
+       (Array.of_list pending));
   let cell_reports =
     Array.to_list results
     |> List.map (function Some r -> r | None -> assert false)
@@ -1238,8 +847,8 @@ let journal_meta ~total ~fingerprint =
       ("fingerprint", Json.Str fingerprint);
     ]
 
-(* a terminal leaf completed inside a still-unfinished cell — the
-   leaf-scheduler journals these so [--resume] restarts mid-cell *)
+(* a terminal leaf completed inside a still-unfinished cell — journaled
+   through [on_leaf] so [--resume] restarts mid-cell *)
 let leaf_record_to_json ~cell ~path leaf =
   Json.Obj
     [

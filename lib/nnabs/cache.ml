@@ -206,107 +206,6 @@ let find_or_compute t ~net_id ~cmd ?tag box f =
               push_front sh e;
               value)
 
-(* Batched lookup: probe every query first, then compute all misses in
-   one [f] call (the batched F# kernel), deduplicating identical
-   quantized keys so a key is computed at most once per call — exactly
-   what the scalar path would produce, since the second scalar miss
-   would either hit the freshly inserted entry or recompute the same
-   bitwise value.  Inserts keep the incumbent like [find_or_compute],
-   and the answer for every query is the value actually stored. *)
-let find_or_compute_batch t ~net_id ~cmd ?tag boxes f =
-  let n = Array.length boxes in
-  if n = 0 then [||]
-  else begin
-    let keys = Array.map (key t ~net_id ~cmd ?tag) boxes in
-    let out : B.t option array = Array.make n None in
-    Array.iteri
-      (fun i key ->
-        let sh = shard_for t key in
-        let cached =
-          with_lock sh (fun () ->
-              match Hashtbl.find_opt sh.table key with
-              | Some e ->
-                  sh.hits <- sh.hits + 1;
-                  unlink e;
-                  push_front sh e;
-                  Some e.value
-              | None ->
-                  sh.misses <- sh.misses + 1;
-                  None)
-        in
-        match cached with
-        | Some v ->
-            Metrics.incr m_hits;
-            out.(i) <- Some v
-        | None -> Metrics.incr m_misses)
-      keys;
-    (* unique miss keys, first-occurrence order *)
-    let first_of : (key, int) Hashtbl.t = Hashtbl.create 16 in
-    let order = ref [] in
-    Array.iteri
-      (fun i key ->
-        if Option.is_none out.(i) && not (Hashtbl.mem first_of key) then begin
-          Hashtbl.add first_of key i;
-          order := i :: !order
-        end)
-      keys;
-    let miss_idx = Array.of_list (List.rev !order) in
-    if Array.length miss_idx > 0 then begin
-      let qboxes =
-        Array.map
-          (fun i ->
-            if t.config.quantum <= 0.0 then boxes.(i)
-            else box_of_bounds keys.(i).bounds)
-          miss_idx
-      in
-      let values = f qboxes in
-      if Array.length values <> Array.length miss_idx then
-        invalid_arg "Cache.find_or_compute_batch: compute arity mismatch";
-      let resolved : (key, B.t) Hashtbl.t =
-        Hashtbl.create (Array.length miss_idx)
-      in
-      Array.iteri
-        (fun j i ->
-          let key = keys.(i) in
-          let value = values.(j) in
-          let sh = shard_for t key in
-          let stored =
-            with_lock sh (fun () ->
-                match Hashtbl.find_opt sh.table key with
-                | Some e ->
-                    unlink e;
-                    push_front sh e;
-                    e.value
-                | None ->
-                    if Hashtbl.length sh.table >= sh.capacity then begin
-                      let victim = sh.sentinel.prev in
-                      unlink victim;
-                      Hashtbl.remove sh.table victim.key;
-                      sh.evictions <- sh.evictions + 1;
-                      Metrics.incr m_evictions
-                    end;
-                    let e =
-                      { key; value; prev = sh.sentinel; next = sh.sentinel }
-                    in
-                    Hashtbl.replace sh.table key e;
-                    push_front sh e;
-                    value)
-          in
-          Hashtbl.replace resolved key stored)
-        miss_idx;
-      Array.iteri
-        (fun i key ->
-          if Option.is_none out.(i) then
-            out.(i) <- Some (Hashtbl.find resolved key))
-        keys
-    end;
-    Array.map
-      (function
-        | Some v -> v
-        | None -> assert false (* every query is a hit or a resolved miss *))
-      out
-  end
-
 type stats = { hits : int; misses : int; evictions : int; size : int }
 
 let stats (t : t) =

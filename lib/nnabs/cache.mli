@@ -94,25 +94,6 @@ val find_or_compute :
     distinguishes otherwise-identical queries that must not share
     entries — e.g. different abstract domains or split depths. *)
 
-val find_or_compute_batch :
-  t ->
-  net_id:int ->
-  cmd:int ->
-  ?tag:int ->
-  Nncs_interval.Box.t array ->
-  (Nncs_interval.Box.t array -> Nncs_interval.Box.t array) ->
-  Nncs_interval.Box.t array
-(** Batched {!find_or_compute} for queries sharing one
-    [(net_id, cmd, tag)]: probes every query, then computes {e all}
-    misses with a single [f] call on their outward-quantized boxes
-    (outside any shard lock) — the hook for the blocked multi-leaf F#
-    kernel.  Identical quantized keys within one call are deduplicated
-    (computed once); inserts keep the incumbent, and each query's answer
-    is the value actually stored, so results are exactly what the scalar
-    sequence of [find_or_compute] calls would return when [f] is the
-    batched form of the scalar transformer.  Raises [Invalid_argument]
-    if [f] returns an array of a different length than its argument. *)
-
 val quantize : float -> Nncs_interval.Box.t -> Nncs_interval.Box.t
 (** The outward-quantized box ([quantum <= 0.0] returns the input
     unchanged).  Exposed for the soundness tests: the result always

@@ -291,13 +291,9 @@ let scale_row ~xmag p i m lam bias =
 
 (* ReLU relaxation of a whole layer in place (ReluVal/Neurify rules)
    over the input box [blo]/[bhi]; counts straddling neurons into
-   [unstable].  [row0] offsets the plane rows: the batched kernel stores
-   leaf [l]'s layer as rows [l*n .. l*n+n-1] of one wide plane and
-   relaxes each leaf block with this same code, so the per-leaf float-op
-   sequence is identical to the scalar path's. *)
-let relu_rows ~unstable ~xmag ?(row0 = 0) blo bhi p_lo p_up n m =
-  for i0 = 0 to n - 1 do
-    let i = row0 + i0 in
+   [unstable]. *)
+let relu_rows ~unstable ~xmag blo bhi p_lo p_up n m =
+  for i = 0 to n - 1 do
     let l_lo = eval_lower_row blo bhi p_lo i m
     and u_up = eval_upper_row blo bhi p_up i m in
     if l_lo >= 0.0 then () (* stable active *)
@@ -408,176 +404,6 @@ let output_bounds net box =
         s.cur_lo.k.(i),
         Array.sub s.cur_up.c off m,
         s.cur_up.k.(i) ))
-
-(* ----- batched kernel -----
-
-   The batch path pushes [k] input boxes through the network in one pass
-   per layer.  The scratch planes widen from [n x m] panels to k-leaf
-   blocks: leaf [l]'s neuron [i] lives at plane row [l*n + i]
-   (leaves x neurons x m row-major, with per-leaf constant/error lanes
-   at the same row index), so the affine transform becomes a blocked
-   matrix-matrix kernel that streams each weight [wij] once across the
-   whole batch instead of once per leaf.
-
-   Bitwise determinism: for a fixed leaf the float operations execute in
-   exactly the scalar order — the leaf loop only sits *between* the
-   weight loop and the inner accumulation, never inside a single leaf's
-   dependency chain — and each leaf keeps its own accumulators, error
-   lanes, and input magnitude.  [propagate_batch net boxes] is therefore
-   bit-for-bit [Array.map (propagate net) boxes]; batching amortizes
-   weight streaming and loop overhead, not summation order. *)
-
-let batch_scratch_key : scratch Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        cur_lo = make_plane ();
-        cur_up = make_plane ();
-        nxt_lo = make_plane ();
-        nxt_up = make_plane ();
-      })
-
-(* dst = W * src + b for every leaf block at once.  [src] holds [k]
-   blocks of [cols] rows, [dst] receives [k] blocks of [n] rows; the
-   per-leaf accumulator arrays replay the scalar [affine_rows] reference
-   sequence lane by lane.  [nterms] counts structurally nonzero weights
-   of the row and is leaf-independent. *)
-let affine_rows_batch ~k ~xmags w b m src_lo src_up dst_lo dst_up =
-  let n = Mat.rows w and cols = Mat.cols w in
-  ensure dst_lo (k * n) m;
-  ensure dst_up (k * n) m;
-  let up_const = Array.make k 0.0 and lo_const = Array.make k 0.0 in
-  let up_abs = Array.make k 0.0 and lo_abs = Array.make k 0.0 in
-  let up_err = Array.make k 0.0 and lo_err = Array.make k 0.0 in
-  for i = 0 to n - 1 do
-    let bi = b.(i) in
-    for l = 0 to k - 1 do
-      let off = ((l * n) + i) * m in
-      Array.fill dst_lo.c off m 0.0;
-      Array.fill dst_up.c off m 0.0;
-      up_const.(l) <- bi;
-      lo_const.(l) <- bi;
-      up_abs.(l) <- Float.abs bi;
-      lo_abs.(l) <- Float.abs bi;
-      up_err.(l) <- 0.0;
-      lo_err.(l) <- 0.0
-    done;
-    let nterms = ref 0 in
-    for j = 0 to cols - 1 do
-      let wij = Mat.get w i j in
-      if (wij <> 0.0) [@lint.fp_exact "exact zero test: skips structurally-zero terms; NaN falls through conservatively"] then begin
-        incr nterms;
-        let su, sl = if wij > 0.0 then (src_up, src_lo) else (src_lo, src_up) in
-        let awij = Float.abs wij in
-        for l = 0 to k - 1 do
-          let srow = (l * cols) + j in
-          let joff = srow * m in
-          let doff = ((l * n) + i) * m in
-          for kk = 0 to m - 1 do
-            let p = wij *. su.c.(joff + kk) in
-            dst_up.c.(doff + kk) <- dst_up.c.(doff + kk) +. p;
-            up_abs.(l) <- up_abs.(l) +. Float.abs p
-          done;
-          let pc = wij *. su.k.(srow) in
-          up_const.(l) <- up_const.(l) +. pc;
-          up_abs.(l) <- up_abs.(l) +. Float.abs pc;
-          up_err.(l) <- R.add_up up_err.(l) (R.mul_up awij su.e.(srow));
-          for kk = 0 to m - 1 do
-            let p = wij *. sl.c.(joff + kk) in
-            dst_lo.c.(doff + kk) <- dst_lo.c.(doff + kk) +. p;
-            lo_abs.(l) <- lo_abs.(l) +. Float.abs p
-          done;
-          let pc = wij *. sl.k.(srow) in
-          lo_const.(l) <- lo_const.(l) +. pc;
-          lo_abs.(l) <- lo_abs.(l) +. Float.abs pc;
-          lo_err.(l) <- R.add_up lo_err.(l) (R.mul_up awij sl.e.(srow))
-        done
-      end
-    done;
-    for l = 0 to k - 1 do
-      let r = (l * n) + i in
-      dst_up.k.(r) <- up_const.(l);
-      dst_lo.k.(r) <- lo_const.(l);
-      if !nterms = 0 then begin
-        dst_up.e.(r) <- 0.0;
-        dst_lo.e.(r) <- 0.0
-      end
-      else begin
-        let nops = (!nterms * (m + 1)) + 1 in
-        dst_up.e.(r) <-
-          R.add_up up_err.(l) (accumulation_error nops (up_abs.(l) *. xmags.(l)));
-        dst_lo.e.(r) <-
-          R.add_up lo_err.(l) (accumulation_error nops (lo_abs.(l) *. xmags.(l)))
-      end
-    done
-  done
-
-let propagate_batch_planes net boxes blos bhis =
-  let k = Array.length boxes in
-  let m = Net.input_dim net in
-  Array.iter
-    (fun box ->
-      if B.dim box <> m then
-        invalid_arg "Symbolic_prop.propagate_batch: input dimension mismatch")
-    boxes;
-  let xmags = Array.map input_magnitude boxes in
-  let s = Domain.DLS.get batch_scratch_key in
-  ensure s.cur_lo (k * m) m;
-  ensure s.cur_up (k * m) m;
-  for r = 0 to (k * m) - 1 do
-    let off = r * m in
-    Array.fill s.cur_lo.c off m 0.0;
-    Array.fill s.cur_up.c off m 0.0;
-    let i = r mod m in
-    s.cur_lo.c.(off + i) <- 1.0;
-    s.cur_up.c.(off + i) <- 1.0;
-    s.cur_lo.k.(r) <- 0.0;
-    s.cur_up.k.(r) <- 0.0;
-    s.cur_lo.e.(r) <- 0.0;
-    s.cur_up.e.(r) <- 0.0
-  done;
-  let n = ref m in
-  Array.iteri
-    (fun li l ->
-      Span.with_ "nnabs.layer_batch"
-        ~attrs:
-          [
-            ("layer", Nncs_obs.Trace.Int li);
-            ("neurons", Int (Mat.rows l.Net.weights));
-            ("leaves", Int k);
-          ]
-        (fun () ->
-          let rows = Mat.rows l.Net.weights in
-          affine_rows_batch ~k ~xmags l.Net.weights l.Net.biases m s.cur_lo
-            s.cur_up s.nxt_lo s.nxt_up;
-          (match l.Net.activation with
-          | Nncs_nn.Activation.Linear -> ()
-          | Nncs_nn.Activation.Relu ->
-              let unstable = ref 0 in
-              for lf = 0 to k - 1 do
-                relu_rows ~unstable ~xmag:xmags.(lf) ~row0:(lf * rows)
-                  blos.(lf) bhis.(lf) s.nxt_lo s.nxt_up rows m
-              done;
-              Metrics.add m_neurons (rows * k);
-              Metrics.add m_unstable !unstable);
-          swap s;
-          n := rows))
-    net.Net.layers;
-  (s, !n, m)
-
-let propagate_batch net boxes =
-  if Array.length boxes = 0 then [||]
-  else
-    let blos = Array.map B.lo boxes and bhis = Array.map B.hi boxes in
-    let s, n, m = propagate_batch_planes net boxes blos bhis in
-    Array.mapi
-      (fun l _ ->
-        B.of_intervals
-          (Array.init n (fun i ->
-               let r = (l * n) + i in
-               let lo = eval_lower_row blos.(l) bhis.(l) s.cur_lo r m
-               and hi = eval_upper_row blos.(l) bhis.(l) s.cur_up r m in
-               if lo <= hi then I.make lo hi else inverted_hull lo hi)))
-      boxes
 
 (* Narrow test hooks: the NaN-poisoned-plane regression needs a plane
    whose *coefficients* are poisoned while the constant and error lanes

@@ -13,19 +13,6 @@
 val propagate : Nncs_nn.Network.t -> Nncs_interval.Box.t -> Nncs_interval.Box.t
 (** Sound enclosure of [{F(x) | x in box}]. *)
 
-val propagate_batch :
-  Nncs_nn.Network.t -> Nncs_interval.Box.t array -> Nncs_interval.Box.t array
-(** [propagate_batch net boxes] pushes all [k] boxes through the network
-    in one pass per layer: the scratch planes widen to
-    [leaves x neurons x m] blocks with per-leaf constant/error lanes, so
-    the affine transform becomes a blocked matrix–matrix kernel that
-    streams each weight once per batch instead of once per leaf.  Each
-    leaf's float-operation sequence is the scalar one, so the result is
-    bit-for-bit [Array.map (propagate net) boxes] — batching amortizes
-    weight streaming and loop overhead, never summation order.  Raises
-    [Invalid_argument] if any box's dimension differs from the network's
-    input dimension. *)
-
 val inverted_hull : float -> float -> Nncs_interval.Interval.t
 (** The sound enclosure returned when an evaluated lower bound [lo]
     exceeds the upper bound [hi]: the ordered hull [[hi, lo]] inflated on

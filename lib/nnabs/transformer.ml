@@ -28,67 +28,6 @@ let propagate_split domain ~splits net box =
   in
   go splits box
 
-(* ----- batched entry points -----
-
-   Only the symbolic kernel has a genuinely blocked batch path; the
-   other domains fall back to mapping the scalar transformer, so every
-   domain satisfies the same contract: the result is bit-for-bit the
-   scalar map. *)
-
-let propagate_batch domain net boxes =
-  match domain with
-  | Symbolic -> Symbolic_prop.propagate_batch net boxes
-  | Interval | Affine -> Array.map (propagate domain net) boxes
-
-let propagate_split_batch domain ~splits net boxes =
-  if splits < 0 then
-    invalid_arg "Transformer.propagate_split_batch: negative splits";
-  if splits = 0 then propagate_batch domain net boxes
-  else
-    match domain with
-    | Interval | Affine -> Array.map (propagate_split domain ~splits net) boxes
-    | Symbolic ->
-        (* Expand every box into its 2^splits bisection leaves (the same
-           widest-dimension recursion as [propagate_split], left leaves
-           first), batch all lanes through one kernel call, then rebuild
-           each box's hull tree in the scalar association order — hull is
-           a pure function of the leaf values, so the result matches the
-           scalar recursion bitwise. *)
-        let leaves_per = 1 lsl splits in
-        let k = Array.length boxes in
-        let lanes =
-          Array.concat
-            (Array.to_list
-               (Array.map
-                  (fun box ->
-                    let acc = ref [] in
-                    let rec expand depth box =
-                      if depth = 0 then acc := box :: !acc
-                      else
-                        let l, r = B.bisect_widest box in
-                        expand (depth - 1) l;
-                        expand (depth - 1) r
-                    in
-                    expand splits box;
-                    Array.of_list (List.rev !acc))
-                  boxes))
-        in
-        let outs = Symbolic_prop.propagate_batch net lanes in
-        Array.init k (fun b ->
-            let next = ref (b * leaves_per) in
-            let rec rebuild depth =
-              if depth = 0 then begin
-                let v = outs.(!next) in
-                incr next;
-                v
-              end
-              else
-                let l = rebuild (depth - 1) in
-                let r = rebuild (depth - 1) in
-                B.hull l r
-            in
-            rebuild splits)
-
 let meet_all domains net box =
   match domains with
   | [] -> invalid_arg "Transformer.meet_all: no domains"

@@ -20,28 +20,6 @@ val propagate_split :
     times (2^splits sub-boxes), propagate each, and hull the results —
     tighter, at exponential cost in [splits]. *)
 
-val propagate_batch :
-  domain ->
-  Nncs_nn.Network.t ->
-  Nncs_interval.Box.t array ->
-  Nncs_interval.Box.t array
-(** Batched [propagate]: bit-for-bit [Array.map (propagate domain net)].
-    The [Symbolic] domain runs the blocked multi-leaf kernel
-    ({!Symbolic_prop.propagate_batch}); the other domains map the scalar
-    transformer. *)
-
-val propagate_split_batch :
-  domain ->
-  splits:int ->
-  Nncs_nn.Network.t ->
-  Nncs_interval.Box.t array ->
-  Nncs_interval.Box.t array
-(** Batched [propagate_split]: bit-for-bit
-    [Array.map (propagate_split domain ~splits net)].  For [Symbolic]
-    all [k * 2^splits] bisection leaves go through one blocked kernel
-    call and each box's hull tree is rebuilt in the scalar association
-    order. *)
-
 val meet_all : domain list -> Nncs_nn.Network.t -> Nncs_interval.Box.t -> Nncs_interval.Box.t
 (** Intersection of the enclosures from several domains (all sound, so
     the meet is sound and at least as tight as each). *)

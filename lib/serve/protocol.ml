@@ -158,7 +158,21 @@ let domain_of_json j =
   | Some _ -> fail "field \"domain\" must be interval | symbolic | affine"
   | None -> T.Symbolic
 
+(* Fields of earlier protocol versions whose knobs no longer exist: a
+   job that still sets one is refused by name rather than run with the
+   setting silently dropped. *)
+let removed_fields =
+  [
+    ("scheduler", "every job runs on the one leaf scheduler");
+    ("batch_leaves", "batched F# was removed");
+  ]
+
 let config_of_json j =
+  List.iter
+    (fun (name, why) ->
+      if J.member name j <> None then
+        fail "field %S is no longer supported (%s)" name why)
+    removed_fields;
   let base = default_config in
   let r = base.Verify.reach in
   let reach =
@@ -198,13 +212,6 @@ let config_of_json j =
     workers = int_field ~default:base.Verify.workers "workers" j;
     limits;
     degrade = bool_field ~default:base.Verify.degrade "degrade" j;
-    scheduler =
-      (match J.member "scheduler" j with
-      | Some (J.Str "cells") -> Verify.Cells
-      | Some (J.Str "leaves") -> Verify.Leaves
-      | Some _ -> fail "field \"scheduler\" must be cells | leaves"
-      | None -> base.Verify.scheduler);
-    batch_leaves = int_field ~default:base.Verify.batch_leaves "batch_leaves" j;
   }
 
 let job_of_json j =
@@ -295,12 +302,6 @@ let job_to_json (job : job) =
     @ strategy_fields
     @ [
         ("workers", num_int c.Verify.workers);
-        ( "scheduler",
-          J.Str
-            (match c.Verify.scheduler with
-            | Verify.Cells -> "cells"
-            | Verify.Leaves -> "leaves") );
-        ("batch_leaves", num_int c.Verify.batch_leaves);
         ("degrade", J.Bool c.Verify.degrade);
         ("memo", J.Bool job.use_memo);
       ]

@@ -21,7 +21,6 @@
                   "scheme":"direct"|"lohner",                [direct]
                   "early_abort":BOOL,                        [true]
                   "workers":N,                               [1]
-                  "scheduler":"cells"|"leaves",              [cells]
                   "degrade":BOOL,                            [true]
                   "deadline_s":F, "max_ode_steps":N,
                   "max_symstates":N,                         [unlimited]
@@ -32,6 +31,10 @@
     stats    := { "t":"stats" }
     shutdown := { "t":"shutdown" }
     v}
+
+    A job that carries a field of an earlier protocol version whose knob
+    no longer exists (["scheduler"], ["batch_leaves"]) is refused with an
+    [error] event naming the field, never run with the setting dropped.
 
     {b Events}: [accepted] (echoes the problem fingerprint), [progress]
     (cells done / total, only for jobs that actually run), [verdict]

@@ -10,8 +10,8 @@
     + the process-wide sharded abstraction cache
       ({!Nncs_nnabs.Cache.shared}), injected into every job's reach
       config, so F# boxes computed for one job warm the next;
-    + a full run on {!Nncs.Verify.verify_partition} (which itself fans
-      out on the leaf scheduler when the job asks for it).
+    + a full run on {!Nncs.Verify.verify_partition} (which fans a
+      job's refinement out across its [workers] domains).
 
     The server is scenario-agnostic: the closed-loop system and the
     partition factory are supplied as callbacks at {!create} time, and

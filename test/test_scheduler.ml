@@ -1,10 +1,10 @@
-(* The leaf-frontier scheduler must be an invisible optimization: same
-   verdicts, leaves, coverage and journal as the per-cell scheduler (and
-   the sequential run) for any worker count, with faults isolated to one
-   leaf, orphans of dead workers re-queued, and mid-cell resume from
-   journaled leaf records.  Plus the partition/verify-layer correctness
-   fixes that rode along: NaN-proof influence ordering and count-once
-   progress. *)
+(* The scheduler must reproduce the sequential depth-first refinement
+   (test/dfs_oracle.ml): same verdicts, leaves, coverage and journal
+   records for any worker count and input-split depth, with faults
+   isolated to one leaf, orphans of dead workers re-queued, and mid-cell
+   resume from journaled leaf records.  Plus the partition/verify-layer
+   correctness fixes that rode along: NaN-proof influence ordering and
+   count-once progress. *)
 
 module I = Nncs_interval.Interval
 module B = Nncs_interval.Box
@@ -44,31 +44,29 @@ let homing_network () =
    [hi - 0.2 <= 1.5] to prove termination, so the rightmost cells fail
    and refine to max_depth — the skewed partition the leaf frontier is
    built for *)
-let homing_system ?(horizon_steps = 10) () =
-  let controller =
-    Controller.make ~period:0.5 ~commands:homing_commands
-      ~networks:[| homing_network () |]
-      ~select:(fun _ -> 0)
-      ~pre:Controller.identity_pre ~pre_abs:Controller.identity_pre_abs
-      ~post:Controller.argmin_post ~post_abs:Controller.argmin_post_abs ()
-  in
-  System.make ~plant:(Nncs_ode.Ode.make ~dim:1 ~input_dim:1 [| E.input 0 |])
-    ~controller
+let homing_plant = Nncs_ode.Ode.make ~dim:1 ~input_dim:1 [| E.input 0 |]
+
+let homing_system_of ~horizon_steps controller =
+  System.make ~plant:homing_plant ~controller
     ~erroneous:(Spec.coord_gt ~name:"blowup" ~dim:0 ~bound:4.0)
     ~target:(Spec.coord_lt ~name:"home" ~dim:0 ~bound:0.2)
     ~horizon_steps
+
+let homing_system ?(horizon_steps = 10) ?nn_splits () =
+  homing_system_of ~horizon_steps
+    (Controller.make ~period:0.5 ~commands:homing_commands
+       ~networks:[| homing_network () |]
+       ~select:(fun _ -> 0)
+       ~pre:Controller.identity_pre ~pre_abs:Controller.identity_pre_abs
+       ~post:Controller.argmin_post ~post_abs:Controller.argmin_post_abs
+       ?nn_splits ())
 
 let grid n =
   Partition.with_command 0
     (Partition.grid (B.of_bounds [| (1.0, 2.0) |]) ~cells:[| n |])
 
-let config ?(scheduler = Verify.Cells) workers =
-  {
-    Verify.default_config with
-    strategy = Verify.All_dims [ 0 ];
-    workers;
-    scheduler;
-  }
+let config workers =
+  { Verify.default_config with strategy = Verify.All_dims [ 0 ]; workers }
 
 let strip_elapsed (r : Verify.report) =
   ( r.Verify.coverage,
@@ -85,59 +83,121 @@ let strip_elapsed (r : Verify.report) =
                 l.Verify.state.Symstate.cmd,
                 l.Verify.depth,
                 l.Verify.proved,
+                l.Verify.rungs,
                 match l.Verify.result with
                 | Verify.Completed _ -> "completed"
                 | Verify.Failed f -> Nncs_resilience.Failure.to_string f ))
             c.Verify.leaves ))
       r.Verify.cells )
 
-(* ----- scheduler equivalence ----- *)
+(* ----- equivalence with the sequential depth-first refinement ----- *)
 
-let test_equivalence () =
-  let sys = homing_system ~horizon_steps:3 () in
-  let cells = grid 3 in
-  let baseline = Verify.verify_partition ~config:(config 1) sys cells in
+let leaf_count (r : Verify.report) =
+  List.fold_left
+    (fun n (c : Verify.cell_report) -> n + List.length c.Verify.leaves)
+    0 r.Verify.cells
+
+(* a journal leaf record as bytes, with the run-dependent elapsed field
+   zeroed *)
+let record_bytes leaf =
+  Nncs_obs.Json.to_string (Verify.leaf_to_json { leaf with Verify.elapsed = 0.0 })
+
+(* [nn_splits > 0] routes every F# query through the input-splitting
+   transformer: the leaf path and the oracle must still agree.
+   [roots] is the number of root cells, [worker_counts] the pool sizes
+   checked against the oracle *)
+let test_equivalence ?(roots = 3) ?(worker_counts = [ 1; 2; 4 ]) ~nn_splits ()
+    =
+  let sys = homing_system ~horizon_steps:3 ~nn_splits () in
+  let cells = grid roots in
+  let oracle = Dfs_oracle.verify_partition ~config:(config 1) sys cells in
   (* the fixture must actually refine, or the frontier is never used *)
   check "fixture exercises splitting" true
     (List.exists
        (fun (c : Verify.cell_report) -> List.length c.Verify.leaves > 1)
-       baseline.Verify.cells);
+       oracle.Verify.cells);
+  let oracle_records =
+    List.sort compare
+      (List.concat_map
+         (fun (c : Verify.cell_report) -> List.map record_bytes c.Verify.leaves)
+         oracle.Verify.cells)
+  in
   List.iter
     (fun workers ->
-      let leaves =
-        Verify.verify_partition
-          ~config:(config ~scheduler:Verify.Leaves workers)
+      let recs = ref [] and m = Mutex.create () in
+      let r =
+        Verify.verify_partition ~config:(config workers)
+          ~on_leaf:(fun _ _ leaf ->
+            let b = record_bytes leaf in
+            Mutex.lock m;
+            recs := b :: !recs;
+            Mutex.unlock m)
           sys cells
       in
       Alcotest.(check int)
         (Printf.sprintf "leaf count preserved (workers=%d)" workers)
-        (List.fold_left
-           (fun n (c : Verify.cell_report) -> n + List.length c.Verify.leaves)
-           0 baseline.Verify.cells)
-        (List.fold_left
-           (fun n (c : Verify.cell_report) -> n + List.length c.Verify.leaves)
-           0 leaves.Verify.cells);
+        (leaf_count oracle) (leaf_count r);
       check
         (Printf.sprintf "identical report modulo elapsed (workers=%d)" workers)
         true
-        (strip_elapsed baseline = strip_elapsed leaves))
-    [ 1; 4 ]
+        (strip_elapsed oracle = strip_elapsed r);
+      check
+        (Printf.sprintf "journal leaf records byte-identical (workers=%d)"
+           workers)
+        true
+        (List.sort compare !recs = oracle_records))
+    worker_counts
+
+(* cells whose previous commands select different networks share one
+   frontier; verdicts still match the oracle's *)
+let test_mixed_network_frontier () =
+  let net_of bias =
+    let output =
+      {
+        Net.weights = Mat.init 2 1 (fun i _ -> [| -1.0; 1.0 |].(i));
+        biases = [| bias; -.bias |];
+        activation = Act.Linear;
+      }
+    in
+    Net.make ~input_dim:1 [| output |]
+  in
+  let sys =
+    homing_system_of ~horizon_steps:3
+      (Controller.make ~period:0.5 ~commands:homing_commands
+         ~networks:[| net_of 1.0; net_of 0.25 |]
+         ~select:(fun c -> c)
+         ~pre:Controller.identity_pre ~pre_abs:Controller.identity_pre_abs
+         ~post:Controller.argmin_post ~post_abs:Controller.argmin_post_abs ())
+  in
+  (* alternate initial commands so adjacent frontier tasks need
+     different networks *)
+  let cells =
+    List.mapi
+      (fun i (st : Symstate.t) -> Symstate.make st.Symstate.box (i mod 2))
+      (grid 4)
+  in
+  let oracle = Dfs_oracle.verify_partition ~config:(config 1) sys cells in
+  List.iter
+    (fun workers ->
+      check
+        (Printf.sprintf "mixed-network frontier identical (workers=%d)" workers)
+        true
+        (strip_elapsed oracle
+        = strip_elapsed
+            (Verify.verify_partition ~config:(config workers) sys cells)))
+    [ 1; 2 ]
 
 (* ----- per-leaf fault isolation ----- *)
 
-let test_poisoned_leaf_isolated () =
+let test_poisoned_leaf_isolated ~workers () =
   let sys = homing_system () in
   let cells = grid 8 in
-  let baseline = Verify.verify_partition ~config:(config 1) sys cells in
+  let baseline = Dfs_oracle.verify_partition ~config:(config 1) sys cells in
   Fun.protect ~finally:Fault.reset (fun () ->
       (* key "3" is cell 3's root leaf (task keys are cell.path) *)
       Fault.arm ~site:"verify.leaf" ~key:"3" (fun () ->
           Stdlib.Failure "boom");
-      let poisoned =
-        Verify.verify_partition
-          ~config:(config ~scheduler:Verify.Leaves 4)
-          sys cells
-      in
+      let poisoned = Verify.verify_partition ~config:(config workers) sys cells in
       Alcotest.(check int) "one unknown cell" 1 poisoned.Verify.unknown_cells;
       List.iter2
         (fun (a : Verify.cell_report) (b : Verify.cell_report) ->
@@ -161,18 +221,14 @@ let test_poisoned_leaf_isolated () =
 let test_fatal_death_requeues_orphan () =
   let sys = homing_system () in
   let cells = grid 8 in
-  let baseline = Verify.verify_partition ~config:(config 1) sys cells in
+  let baseline = Dfs_oracle.verify_partition ~config:(config 1) sys cells in
   let requeued = Metrics.counter "resilience.requeued_leaves" in
   let before = Metrics.value requeued in
   Fun.protect ~finally:Fault.reset (fun () ->
       (* one-shot fatal fault: the claiming domain dies, the orphaned
          leaf is re-queued and the retry (no fault left) succeeds *)
       Fault.arm ~site:"verify.leaf" ~key:"5" ~times:1 (fun () -> Sys.Break);
-      let report =
-        Verify.verify_partition
-          ~config:(config ~scheduler:Verify.Leaves 2)
-          sys cells
-      in
+      let report = Verify.verify_partition ~config:(config 2) sys cells in
       check "orphaned leaf was re-queued" true
         (Metrics.value requeued > before);
       Alcotest.(check int) "no unknown cells" 0 report.Verify.unknown_cells;
@@ -185,7 +241,7 @@ let test_midcell_resume () =
   let sys = homing_system ~horizon_steps:3 () in
   let cells = grid 3 in
   let total = List.length cells in
-  let cfg = config ~scheduler:Verify.Leaves 1 in
+  let cfg = config 1 in
   let recs = ref [] in
   let baseline =
     Verify.verify_partition ~config:cfg
@@ -259,7 +315,7 @@ let test_fingerprint_sensitivity () =
   differs "partition size" (Verify.fingerprint ~config:cfg sys (grid 5));
   differs "max_depth"
     (Verify.fingerprint ~config:{ cfg with Verify.max_depth = 3 } sys cells);
-  differs "scheduler-independent = false: horizon"
+  differs "horizon"
     (Verify.fingerprint ~config:cfg
        { sys with System.horizon_steps = 11 }
        cells);
@@ -271,14 +327,17 @@ let test_fingerprint_sensitivity () =
          sys with
          System.erroneous = Spec.coord_gt ~name:"blowup" ~dim:0 ~bound:1.5;
        }
-       cells);
-  (* the scheduler choice does not change the problem: journals are
-     interchangeable between cells and leaves mode *)
+       cells)
+
+(* the worker count does not change the problem: journals written at
+   one worker count resume at any other *)
+let test_fingerprint_agnostic () =
+  let sys = homing_system () in
+  let cells = grid 4 in
   Alcotest.(check string)
-    "scheduler-agnostic" fp
-    (Verify.fingerprint
-       ~config:{ cfg with Verify.scheduler = Verify.Leaves }
-       sys cells)
+    "fingerprint ignores workers"
+    (Verify.fingerprint ~config:(config 1) sys cells)
+    (Verify.fingerprint ~config:(config 4) sys cells)
 
 (* ----- influence_order with NaN scores ----- *)
 
@@ -334,10 +393,12 @@ let test_progress_counts_once_after_crash () =
     Mutex.unlock mutex
   in
   Fun.protect ~finally:Fault.reset (fun () ->
-      (* a one-shot fatal fault kills one of the two workers after it has
-         already completed (and counted) at least one cell: its results
-         are lost and re-run by crash recovery, which previously counted
-         them a second time and pushed progress past [total] *)
+      (* a one-shot fatal fault kills one of the two workers on cell 2's
+         root leaf: the orphan is re-queued and re-run by the survivor,
+         and must not be counted a second time or push progress past
+         [total] *)
+      let requeued = Metrics.counter "resilience.requeued_leaves" in
+      let before = Metrics.value requeued in
       Fault.arm ~site:"verify.cell" ~key:"2" ~times:1 (fun () -> Sys.Break);
       let report =
         Verify.verify_partition ~config:(config 2) ~progress sys cells
@@ -346,7 +407,7 @@ let test_progress_counts_once_after_crash () =
       Alcotest.(check int) "no unknown cells after recovery" 0
         report.Verify.unknown_cells;
       check "crash recovery actually ran" true
-        (Metrics.value (Metrics.counter "resilience.requeued_cells") > 0);
+        (Metrics.value requeued > before);
       Alcotest.(check int) "exactly one callback per cell" total
         (List.length !seen);
       check "every total is the cell count" true
@@ -361,13 +422,28 @@ let () =
     [
       ( "leaf scheduler",
         [
-          Alcotest.test_case "equivalent to cells scheduler" `Quick
-            test_equivalence;
+          Alcotest.test_case "equivalent to DFS oracle" `Quick
+            (test_equivalence ~nn_splits:0);
           Alcotest.test_case "poisoned leaf isolated" `Quick
-            test_poisoned_leaf_isolated;
+            (test_poisoned_leaf_isolated ~workers:4);
           Alcotest.test_case "fatal death re-queues orphan" `Quick
             test_fatal_death_requeues_orphan;
           Alcotest.test_case "mid-cell resume" `Quick test_midcell_resume;
+        ] );
+      ( "scheduler",
+        [
+          (* pool sizes that do not divide the 5 roots, and one larger
+             than the root count, so some workers start idle *)
+          Alcotest.test_case "equivalence across workers" `Quick
+            (test_equivalence ~roots:5 ~worker_counts:[ 3; 8 ] ~nn_splits:0);
+          Alcotest.test_case "equivalence with nn_splits" `Quick
+            (test_equivalence ~nn_splits:2);
+          Alcotest.test_case "mixed-network frontier" `Quick
+            test_mixed_network_frontier;
+          Alcotest.test_case "poisoned leaf fails alone" `Quick
+            (test_poisoned_leaf_isolated ~workers:1);
+          Alcotest.test_case "fingerprint agnostic" `Quick
+            test_fingerprint_agnostic;
         ] );
       ( "bugfixes",
         [

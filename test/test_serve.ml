@@ -62,7 +62,6 @@ let test_request_roundtrip () =
       P.default_config with
       Verify.max_depth = 3;
       workers = 2;
-      scheduler = Verify.Leaves;
       strategy = Verify.Most_influential { candidates = [ 0; 1 ]; take = 1 };
       limits =
         {
@@ -90,7 +89,6 @@ let test_request_roundtrip () =
       check "memo flag" true (j.P.use_memo = false);
       Alcotest.(check int) "max_depth" 3 j.P.config.Verify.max_depth;
       Alcotest.(check int) "workers" 2 j.P.config.Verify.workers;
-      check "scheduler" true (j.P.config.Verify.scheduler = Verify.Leaves);
       check "strategy" true
         (j.P.config.Verify.strategy
         = Verify.Most_influential { candidates = [ 0; 1 ]; take = 1 });
@@ -828,6 +826,56 @@ let test_session_loop () =
   check "eof session still says bye" true
     (List.exists (function P.Bye -> true | _ -> false) events)
 
+(* the knobs of an earlier protocol version are refused by name, never
+   silently dropped; the same job without them runs *)
+let test_removed_fields_refused () =
+  let job id extra =
+    Printf.sprintf
+      {|{"t":"job","id":"%s","partition":{"arcs":2,"headings":1}%s}|} id extra
+  in
+  let outcome, events =
+    run_session ~dispatchers:1
+      [
+        job "with_scheduler" {|,"scheduler":"leaves"|};
+        job "with_batch" {|,"batch_leaves":4|};
+        job "clean" "";
+        {|{"t":"shutdown"}|};
+      ]
+  in
+  check "shutdown ends the session" true (outcome = `Shutdown);
+  let error_for id =
+    List.find_map
+      (function
+        | P.Job_error { id = i; reason } when i = id -> Some reason
+        | _ -> None)
+      events
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun (id, field) ->
+      match error_for id with
+      | Some reason ->
+          check (Printf.sprintf "%s: error names %s" id field) true
+            (contains reason (Printf.sprintf "%S" field))
+      | None -> Alcotest.failf "%s: job with %S was not refused" id field)
+    [ ("with_scheduler", "scheduler"); ("with_batch", "batch_leaves") ];
+  check "refused jobs never ran" true
+    (not
+       (List.exists
+          (fun v -> v.vid = "with_scheduler" || v.vid = "with_batch")
+          (List.filter_map verdict_payload events)));
+  check "the same job without them runs" true
+    (List.exists
+       (fun v -> v.vid = "clean")
+       (List.filter_map verdict_payload events));
+  check "no error for the clean job" true (error_for "clean" = None)
+
 let session_server () =
   Server.create
     { Server.default_config with Server.dispatchers = 1 }
@@ -1150,6 +1198,8 @@ let () =
           Alcotest.test_case "malformed requests rejected" `Quick
             test_request_rejects;
           Alcotest.test_case "event round-trip" `Quick test_event_roundtrip;
+          Alcotest.test_case "removed fields refused" `Quick
+            test_removed_fields_refused;
         ] );
       ( "server",
         [
